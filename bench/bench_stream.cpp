@@ -21,9 +21,9 @@
 
 #include "campaign/engine.h"
 #include "core/probes.h"
+#include "core/stream_detect.h"
 #include "impls/products.h"
 #include "net/stream.h"
-#include "stream/detect.h"
 #include "stream/mutate.h"
 #include "stream/seeds.h"
 
@@ -95,12 +95,12 @@ BENCHMARK(BM_StreamObserve)
 // the per-case cost a `--streams` campaign actually pays.
 void BM_StreamObserveAndDetect(benchmark::State& state) {
   const std::vector<std::string> wires = seed_named("fat-get").wires();
-  const hdiff::stream::StreamDetector detector(chain());
+  const hdiff::core::StreamDetector detector(chain());
   std::size_t findings = 0;
   for (auto _ : state) {
     const hdiff::net::StreamObservation obs =
         chain().observe_stream("bench", wires);
-    const hdiff::stream::StreamDetectionResult result =
+    const hdiff::core::StreamDetectionResult result =
         detector.evaluate(obs);
     findings = result.findings.size();
     benchmark::DoNotOptimize(result.any());

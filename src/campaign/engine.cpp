@@ -13,7 +13,6 @@
 #include "http/header_util.h"
 #include "net/chain.h"
 #include "report/json.h"
-#include "stream/detect.h"
 #include "stream/mutate.h"
 
 namespace hdiff::campaign {
@@ -277,6 +276,7 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
       // replay goes back through observe_stream, and re-attribute its arm
       // against the stream corpus.
       pc.is_stream = stream::deserialize_stream(r.spec_text, &pc.stream);
+      if (pc.is_stream) pc.tc.stream = pc.stream.wires();
       if (parse_stream_mutant_provenance(r.provenance, &hash, &kind)) {
         for (std::size_t e = 0; e < store.stream_entries.size(); ++e) {
           if (store.stream_entries[e].hash == hash) {
@@ -410,6 +410,7 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
         pc.provenance = entry.provenance;
         pc.is_stream = true;
         pc.stream = entry.stream;
+        pc.tc.stream = entry.stream.wires();
         pc.spec_text = stream::serialize_stream(entry.stream);
         planned.push_back(std::move(pc));
       }
@@ -468,6 +469,7 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
         pc.arm_kind = sarm_plans[a].kind;
         pc.is_stream = true;
         pc.stream = mutant.stream;
+        pc.tc.stream = mutant.stream.wires();
         pc.spec_text = stream::serialize_stream(mutant.stream);
         planned.push_back(std::move(pc));
       }
@@ -503,17 +505,12 @@ ExecutedRound execute_round(const CampaignConfig& config,
     index_map.resize(planned.size());
     std::iota(index_map.begin(), index_map.end(), std::size_t{0});
   }
-  // Stream cases take the connection-level observation path; everything
-  // else goes through the parallel single-request executor.  The partition
-  // preserves index order on both sides.
-  std::vector<std::size_t> regular;
-  std::vector<std::size_t> stream_cases;
-  for (std::size_t idx : index_map) {
-    (planned[idx].is_stream ? stream_cases : regular).push_back(idx);
-  }
+  // Single-request and stream cases share the executor: scheduling,
+  // RetryPolicy, quarantine into ExecutorStats, memo and the index-order
+  // merge through on_delta are one path for both kinds.
   std::vector<core::TestCase> cases;
-  cases.reserve(regular.size());
-  for (std::size_t idx : regular) cases.push_back(planned[idx].tc);
+  cases.reserve(index_map.size());
+  for (std::size_t idx : index_map) cases.push_back(planned[idx].tc);
 
   core::ExecutorConfig ec = config.executor;
   ec.shared_memo = memo;
@@ -521,42 +518,13 @@ ExecutedRound execute_round(const CampaignConfig& config,
   if (!ec.obs.enabled()) ec.obs = config.obs;
   ec.on_delta = [&](std::size_t index, const core::TestCase&,
                     const core::DetectionResult& delta, bool q) {
-    CaseOutcome& oc = out.outcomes[regular[index]];
+    CaseOutcome& oc = out.outcomes[index_map[index]];
     oc.executed = true;
     oc.quarantined = q;
     if (!q) oc.signatures = signatures_of(delta);
   };
   core::ParallelExecutor executor(ec);
   out.total = executor.run(chain, cases, &out.stats);
-
-  // Stream observations run serially in ascending index order: a round's
-  // stream budget is small, each observation is memoized at the model-call
-  // level through the shared verdict cache, and serial execution makes the
-  // outcome trivially independent of `jobs` — the byte-identity the
-  // selftest proves.
-  if (!stream_cases.empty()) {
-    const stream::StreamDetector detector(chain);
-    const obs::StreamObs strack = obs::StreamObs::from(ec.obs);
-    const obs::StreamObs* track = strack.active() ? &strack : nullptr;
-    const int max_attempts = std::max(1, config.executor.retry.attempts);
-    for (std::size_t idx : stream_cases) {
-      const PlannedCase& pc = planned[idx];
-      CaseOutcome& oc = out.outcomes[idx];
-      oc.executed = true;
-      const std::vector<std::string> wires = pc.stream.wires();
-      net::StreamObservation sobs;
-      for (int attempt = 0; attempt < max_attempts; ++attempt) {
-        sobs = chain.observe_stream(pc.tc.uuid, wires, /*echo=*/nullptr,
-                                    verdicts, track);
-        if (!sobs.faulted()) break;
-      }
-      if (sobs.faulted()) {
-        oc.quarantined = true;
-        continue;
-      }
-      oc.signatures = signatures_of_stream(detector.evaluate(sobs, track));
-    }
-  }
   return out;
 }
 
@@ -759,6 +727,7 @@ CampaignReport CampaignEngine::run(
   const std::string sig = campaign_config_sig(config_);
 
   StateStore store(config_.state_dir);
+  store.set_io_jobs(config_.executor.jobs);
   // Writer lock first: two engines appending to one state dir would corrupt
   // the findings artifact; the loser gets a structured refusal instead.
   if (!store.acquire_lock()) {
@@ -822,11 +791,15 @@ CampaignReport CampaignEngine::run(
     report.duplicate_total += rr.duplicate;
 
     // ---- checkpoint ------------------------------------------------------
-    // The round's findings are already appended to findings.jsonl (inside
-    // add_finding); the rename below is the commit point.  The crash hook
-    // stops exactly between the two — the worst window — which load() heals
-    // by truncating the artifact back to the checkpoint.
+    // commit_round writes the round's staged corpus files and findings
+    // lines, then renames the checkpoint: the rename is the commit point.
+    // The crash hook stops exactly between the two — the worst window —
+    // which load() heals by truncating the artifact back to the checkpoint.
     if (config_.crash_after_round == static_cast<int>(round)) {
+      if (!store.write_staged()) {
+        report.error = store.error();
+        return report;
+      }
       report.interrupted = true;
       report.rounds_completed = store.rounds_completed;
       report.total_findings = store.findings.size();

@@ -86,8 +86,9 @@ struct CampaignConfig {
   /// E15 control arm).  Adopted with the plan; checkpoint wins thereafter.
   bool coverage_weighting = true;
 
-  /// Test hook: simulate a kill after this round appended its findings but
-  /// before the checkpoint rename (the worst crash window).  -1 = never.
+  /// Test hook: simulate a kill after this round wrote its corpus files and
+  /// appended its findings but before the checkpoint rename (the worst
+  /// crash window).  -1 = never.
   int crash_after_round = -1;
 };
 
@@ -179,10 +180,10 @@ struct PlannedCase {
   /// ids whose overlap class its injected payload intersects.
   std::vector<std::size_t> cov_ids;
   std::vector<std::size_t> gap_ids;
-  /// Stream cases: observed via Chain::observe_stream and evaluated by the
-  /// stream::StreamDetector family instead of the single-request path.
-  /// `tc.raw` holds the concatenated wire (so sharding and memo keys need
-  /// no special casing); `spec_text` holds serialize_stream().
+  /// Stream cases: `tc.stream` holds the per-message wires, so the
+  /// executor observes the case via Chain::observe_stream and judges it
+  /// with core::StreamDetector; `tc.raw` holds the concatenated wire (the
+  /// shard key) and `spec_text` holds serialize_stream().
   bool is_stream = false;
   stream::RequestStream stream;
 };

@@ -65,18 +65,8 @@ std::vector<Signature> signatures_of(const core::DetectionResult& delta) {
     sort_unique(d.vector);
     out.push_back(std::move(d));
   }
-  return out;
-}
 
-std::vector<Signature> signatures_of_stream(
-    const stream::StreamDetectionResult& result) {
-  std::vector<Signature> out;
-  for (const auto& f : result.findings) {
-    Signature sig;
-    sig.detector = f.detector;
-    sig.vector = f.components;
-    out.push_back(std::move(sig));
-  }
+  for (const auto& f : delta.streams) out.push_back({f.detector, f.components});
   return out;
 }
 

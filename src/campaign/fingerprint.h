@@ -17,13 +17,13 @@
 #include <vector>
 
 #include "core/detect.h"
-#include "stream/detect.h"
 
 namespace hdiff::campaign {
 
 /// One deduplicatable divergence extracted from a per-case delta.
 struct Signature {
-  /// Detector class: "sr-violation", "HRS", "HoT", "CPDoS", "discrepancy".
+  /// Detector class: "sr-violation", "HRS", "HoT", "CPDoS", "discrepancy",
+  /// or one of the "stream-*" classes.
   std::string detector;
   /// Normalized divergence vector: sorted, unique, uuid-free components
   /// ("front->back" for pairs, "impl|sr_id" for violations,
@@ -37,15 +37,11 @@ struct Signature {
 /// Split a per-case delta into its per-detector signatures (empty when the
 /// case produced no divergence).  Deterministic: components are sorted and
 /// deduplicated, so the result is independent of map iteration accidents
-/// and of the case's uuid.
+/// and of the case's uuid.  A stream case's findings map directly: the
+/// stream detectors already emit one finding per class with sorted,
+/// uuid-free components, and their "stream-*" names never collide with the
+/// single-request detectors.
 std::vector<Signature> signatures_of(const core::DetectionResult& delta);
-
-/// Stream counterpart: the stream detectors already emit one finding per
-/// detector class with sorted, uuid-free components, so the mapping is
-/// direct — detector name becomes the signature's detector ("stream-*"
-/// classes never collide with the single-request ones).
-std::vector<Signature> signatures_of_stream(
-    const stream::StreamDetectionResult& result);
 
 /// Stable fingerprint key: FNV-1a64 over `canonical(signature) + "#" +
 /// provenance`, rendered as 16 lowercase hex digits.  Provenance is part of

@@ -5,13 +5,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "campaign/fingerprint.h"
+#include "core/executor.h"
 #include "core/export.h"
 #include "report/json.h"
 
@@ -66,25 +71,26 @@ std::size_t to_size(const std::string& s) {
   return static_cast<std::size_t>(std::strtoull(s.c_str(), nullptr, 10));
 }
 
+/// Write `content` to `tmp` and fsync it.  The tmp bytes must be on disk
+/// *before* a rename publishes them: a rename-without-fsync crash can
+/// legally surface a zero-length file.  A failed write leaves no tmp file.
+bool write_tmp_durable(const std::string& tmp, std::string_view content) {
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) return false;
+  const bool written = write_all(fd, content) && ::fsync(fd) == 0;
+  ::close(fd);
+  if (!written) ::unlink(tmp.c_str());
+  return written;
+}
+
 }  // namespace
 
 bool write_file_atomic_durable(const std::string& path,
                                std::string_view content) {
   const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) return false;
-  // The tmp bytes must be on disk *before* the rename publishes them: a
-  // rename-without-fsync crash can legally surface a zero-length file.
-  const bool written = write_all(fd, content) && ::fsync(fd) == 0;
-  ::close(fd);
-  if (!written) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return false;
+  if (!write_tmp_durable(tmp, content)) return false;
+  if (::rename(tmp.c_str(), path.c_str()) != 0) return false;
   return fsync_parent_dir(path);
 }
 
@@ -186,25 +192,14 @@ bool StateStore::init(const std::string& sig) {
   return true;
 }
 
-bool StateStore::write_corpus_file(const CorpusEntry& entry) {
-  // Durable before the checkpoint that references it commits: a checkpoint
-  // naming a corpus hash whose file evaporated in a crash would fail to
-  // load.
-  if (!write_file_atomic_durable(corpus_path(entry.hash),
-                                 serialize_spec(entry.spec))) {
-    error_ = "cannot write " + corpus_path(entry.hash);
-    return false;
-  }
-  return true;
-}
-
 std::size_t StateStore::add_entry(CorpusEntry entry) {
   if (entry_hashes_.count(entry.hash)) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
       if (entries[i].hash == entry.hash) return i;
     }
   }
-  write_corpus_file(entry);
+  staged_files_.push_back(
+      {corpus_path(entry.hash), serialize_spec(entry.spec)});
   entry_hashes_.insert(entry.hash);
   entries.push_back(std::move(entry));
   return entries.size() - 1;
@@ -214,22 +209,14 @@ bool StateStore::has_entry(const std::string& hash) const {
   return entry_hashes_.count(hash) > 0;
 }
 
-bool StateStore::write_stream_corpus_file(const StreamEntry& entry) {
-  if (!write_file_atomic_durable(stream_corpus_path(entry.hash),
-                                 stream::serialize_stream(entry.stream))) {
-    error_ = "cannot write " + stream_corpus_path(entry.hash);
-    return false;
-  }
-  return true;
-}
-
 std::size_t StateStore::add_stream_entry(StreamEntry entry) {
   if (stream_entry_hashes_.count(entry.hash)) {
     for (std::size_t i = 0; i < stream_entries.size(); ++i) {
       if (stream_entries[i].hash == entry.hash) return i;
     }
   }
-  write_stream_corpus_file(entry);
+  staged_files_.push_back({stream_corpus_path(entry.hash),
+                           stream::serialize_stream(entry.stream)});
   stream_entry_hashes_.insert(entry.hash);
   stream_entries.push_back(std::move(entry));
   return stream_entries.size() - 1;
@@ -241,8 +228,8 @@ bool StateStore::has_stream_entry(const std::string& hash) const {
 
 void StateStore::add_finding(Finding f) {
   fingerprints_.insert(f.fingerprint);
-  std::ofstream out(findings_path(), std::ios::binary | std::ios::app);
-  out << finding_jsonl(f) << "\n";
+  staged_findings_ += finding_jsonl(f);
+  staged_findings_ += '\n';
   findings.push_back(std::move(f));
 }
 
@@ -318,6 +305,8 @@ std::string StateStore::render_state() const {
 }
 
 bool StateStore::parse_state(std::string_view text) {
+  staged_files_.clear();
+  staged_findings_.clear();
   entries.clear();
   arms.clear();
   stream_entries.clear();
@@ -524,9 +513,75 @@ bool StateStore::load_readonly() {
   return parse_state(text);
 }
 
+bool StateStore::write_staged() {
+  if (!staged_files_.empty()) {
+    // 1. Every staged file to <path>.tmp, each fsynced.  The fsyncs are
+    // independent, so they are issued from up to io_jobs_ threads and the
+    // filesystem can fold them into shared journal commits.
+    const std::size_t n = staged_files_.size();
+    std::vector<char> written(n, 0);
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) break;
+        written[i] = write_tmp_durable(staged_files_[i].path + ".tmp",
+                                       staged_files_[i].content);
+      }
+    };
+    const std::size_t workers =
+        std::min(core::ParallelExecutor::resolve_jobs(io_jobs_), n);
+    std::vector<std::thread> pool;
+    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(work);
+    work();
+    for (std::thread& t : pool) t.join();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (written[i]) continue;
+      error_ = "cannot write " + staged_files_[i].path + ".tmp";
+      for (std::size_t j = 0; j < n; ++j) {
+        if (written[j]) ::unlink((staged_files_[j].path + ".tmp").c_str());
+      }
+      return false;
+    }
+    // 2. Publish them.
+    for (const StagedFile& f : staged_files_) {
+      const std::string tmp = f.path + ".tmp";
+      if (::rename(tmp.c_str(), f.path.c_str()) != 0) {
+        error_ = "cannot rename " + tmp + ": " + std::strerror(errno);
+        return false;
+      }
+    }
+    // 3. One directory fsync makes every rename above durable.
+    if (!fsync_parent_dir(staged_files_.front().path)) {
+      error_ = "cannot fsync " + dir_ + "/corpus";
+      return false;
+    }
+    staged_files_.clear();
+  }
+  // 4. The round's findings lines in one append (not fsynced: the
+  // checkpoint is the source of truth and load() regenerates the artifact).
+  if (!staged_findings_.empty()) {
+    const int fd = ::open(findings_path().c_str(),
+                          O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+    const bool appended = fd >= 0 && write_all(fd, staged_findings_);
+    if (fd >= 0) ::close(fd);
+    if (!appended) {
+      error_ = "cannot append to " + findings_path();
+      return false;
+    }
+    staged_findings_.clear();
+  }
+  return true;
+}
+
 bool StateStore::commit_round(std::size_t round) {
+  // A checkpoint never names a file that is not durable: the staged corpus
+  // files land first, the checkpoint rename is the commit point.
+  if (!write_staged()) return false;
+  const std::size_t previous = rounds_completed;
   rounds_completed = round + 1;
   if (!write_file_atomic_durable(state_path(), render_state())) {
+    rounds_completed = previous;
     error_ = "cannot write " + state_path();
     return false;
   }

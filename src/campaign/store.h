@@ -37,12 +37,20 @@
 // core::hex_encode), so specs with NUL/CTL bytes survive and the files diff
 // cleanly under version control.
 //
-// Durability: checkpoint and corpus writes go through
-// `write_file_atomic_durable`, which fsyncs the tmp file *and* the parent
-// directory around the rename, so a power-loss-style kill cannot surface an
-// empty or partial checkpoint (the classic rename-without-fsync hole).
-// findings.jsonl appends are deliberately not fsynced: the checkpoint is
-// the source of truth and load() regenerates the artifact from it.
+// Durability (group commit): add_entry/add_stream_entry/add_finding only
+// stage their bytes in memory; commit_round publishes a whole round at once.
+// It writes every staged corpus file to <path>.tmp and fsyncs each (the
+// fsyncs run concurrently, bounded by set_io_jobs), renames them into
+// place, fsyncs corpus/ once, appends the round's findings lines in one
+// write, and only then publishes the checkpoint through
+// `write_file_atomic_durable` (tmp + fsync + rename + directory fsync).  So
+// a checkpoint never names a corpus file that is not durable, and a
+// power-loss-style kill cannot surface an empty or partial checkpoint (the
+// classic rename-without-fsync hole).  Files left by a crashed round are
+// unreferenced and content-addressed; the re-run round rewrites them
+// identically.  findings.jsonl appends are deliberately not fsynced: the
+// checkpoint is the source of truth and load() regenerates the artifact
+// from it.
 #pragma once
 
 #include <cstdint>
@@ -169,26 +177,41 @@ class StateStore {
   /// appending to the artifact.
   bool load_readonly();
 
-  /// Append an entry (writes its corpus file immediately; idempotent).
-  /// Returns the entry index, or the existing index for a duplicate hash.
+  /// Append an entry and stage its corpus file, which the next
+  /// commit_round writes (idempotent).  Returns the entry index, or the
+  /// existing index for a duplicate hash.
   std::size_t add_entry(CorpusEntry entry);
   bool has_entry(const std::string& hash) const;
 
-  /// Stream-corpus counterpart of add_entry/has_entry (writes
+  /// Stream-corpus counterpart of add_entry/has_entry (stages
   /// corpus/<hash>.stream; idempotent).
   std::size_t add_stream_entry(StreamEntry entry);
   bool has_stream_entry(const std::string& hash) const;
 
-  /// Record a finding and append its JSON line to findings.jsonl.  The
-  /// jsonl append happens before the checkpoint rename; a crash in between
-  /// is healed by load()'s truncation.
+  /// Record a finding and stage its findings.jsonl line.  commit_round
+  /// appends the round's lines before the checkpoint rename; a crash in
+  /// between is healed by load()'s truncation.
   void add_finding(Finding f);
   bool known_fingerprint(const std::string& fp) const {
     return fingerprints_.count(fp) > 0;
   }
 
-  /// Atomically publish the state with `rounds_completed = round + 1`.
+  /// Steps 1-4 of commit_round: make the staged corpus files durable and
+  /// append the staged findings lines, without publishing the checkpoint.
+  /// Returns false with error() set on any failed write, fsync, rename or
+  /// append (the staged bytes stay staged).  Public so the engine's crash
+  /// hook can stop in the worst window, right before the checkpoint rename.
+  bool write_staged();
+
+  /// write_staged(), then atomically publish the state with
+  /// `rounds_completed = round + 1`.  On failure returns false with error()
+  /// set and the previous checkpoint untouched.
   bool commit_round(std::size_t round);
+
+  /// Bound on the concurrent corpus fsyncs of write_staged (0 = hardware
+  /// concurrency, the ExecutorConfig::jobs convention).  Writers pass their
+  /// executor's `jobs`.
+  void set_io_jobs(std::size_t jobs) { io_jobs_ = jobs; }
 
   // ---- checkpointed state (mutated by the engine between commits) ----
   std::string config_sig;
@@ -226,8 +249,12 @@ class StateStore {
   std::string lock_path() const;
 
  private:
-  bool write_corpus_file(const CorpusEntry& entry);
-  bool write_stream_corpus_file(const StreamEntry& entry);
+  /// A corpus file waiting for the next commit.
+  struct StagedFile {
+    std::string path;
+    std::string content;
+  };
+
   std::string render_state() const;
   bool parse_state(std::string_view text);
   bool truncate_findings() const;
@@ -235,6 +262,9 @@ class StateStore {
   std::string dir_;
   std::string error_;
   int lock_fd_ = -1;
+  std::size_t io_jobs_ = 0;
+  std::vector<StagedFile> staged_files_;
+  std::string staged_findings_;  ///< jsonl lines of this round's findings
   std::set<std::string> entry_hashes_;
   std::set<std::string> stream_entry_hashes_;
   std::set<std::string> fingerprints_;

@@ -1,5 +1,6 @@
 #include "core/detect.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "http/header_util.h"
@@ -263,6 +264,15 @@ void DetectionEngine::accumulate(DetectionResult& total,
       delta.discrepancies.inputs_with_discrepancy;
   for (const auto& [label, attacks] : delta.vector_hits) {
     total.vector_hits[label].insert(attacks.begin(), attacks.end());
+  }
+  for (const auto& f : delta.streams) {
+    const bool known =
+        std::any_of(total.streams.begin(), total.streams.end(),
+                    [&](const StreamFinding& e) {
+                      return e.detector == f.detector &&
+                             e.components == f.components;
+                    });
+    if (!known) total.streams.push_back(f);
   }
 }
 

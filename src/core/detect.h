@@ -64,6 +64,16 @@ struct DiscrepancyStats {
   std::size_t inputs_with_discrepancy = 0;
 };
 
+/// One connection-level divergence from a stream case (stream_detect.h),
+/// shaped for campaign fingerprinting: detector class + normalized
+/// component vector (+ free-text detail that is NOT part of the
+/// fingerprint).
+struct StreamFinding {
+  std::string detector;
+  std::vector<std::string> components;  ///< sorted, unique, uuid-free
+  std::string detail;
+};
+
 struct DetectionResult {
   std::vector<SrViolation> violations;
   std::vector<PairFinding> pairs;
@@ -72,6 +82,9 @@ struct DetectionResult {
   /// during evaluation (pair deduplication would otherwise shadow labels of
   /// later test cases hitting an already-known pair).
   std::map<std::string, std::set<std::string>> vector_hits;
+  /// Stream cases only: the StreamDetector's connection-level findings
+  /// (a stream case never fills the single-request fields above).
+  std::vector<StreamFinding> streams;
 };
 
 class DetectionEngine {
@@ -81,7 +94,8 @@ class DetectionEngine {
                            const net::ChainObservation& obs) const;
 
   /// Merge `delta` into `total` (pairs deduplicated by front/back/attack,
-  /// violations by impl/sr, counters summed).
+  /// violations by impl/sr, stream findings by detector/components,
+  /// counters summed).
   static void accumulate(DetectionResult& total, const DetectionResult& delta);
 };
 

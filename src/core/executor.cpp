@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 namespace hdiff::core {
@@ -16,16 +18,35 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
   return hash;
 }
 
-const net::ChainObservation* ObservationMemo::find(std::string_view raw) {
-  const std::uint64_t hash = hasher_(raw);
+namespace {
+
+/// Memo key of a stream case: every message length-prefixed, so the key
+/// records where each message ends and not just the concatenated bytes.
+std::string stream_memo_key(const std::vector<std::string>& messages) {
+  std::string key;
+  for (const std::string& m : messages) {
+    key += std::to_string(m.size());
+    key += ':';
+    key += m;
+  }
+  return key;
+}
+
+}  // namespace
+
+template <class Obs>
+const Obs* ObservationMemo::find_as(std::string_view key) {
+  const std::uint64_t hash = hasher_(key);
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.buckets.find(hash);
   if (it != shard.buckets.end()) {
     for (const Entry& entry : it->second) {
-      if (entry.raw == raw) {  // full-byte confirm: collisions cannot alias
+      // Kind plus full-byte confirm: collisions cannot alias.
+      const auto* held = std::get_if<std::unique_ptr<Obs>>(&entry.obs);
+      if (held != nullptr && entry.key == key) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        return entry.obs.get();
+        return held->get();
       }
     }
   }
@@ -33,20 +54,41 @@ const net::ChainObservation* ObservationMemo::find(std::string_view raw) {
   return nullptr;
 }
 
-const net::ChainObservation* ObservationMemo::insert(std::string_view raw,
-                                                     net::ChainObservation obs) {
-  const std::uint64_t hash = hasher_(raw);
+template <class Obs>
+const Obs* ObservationMemo::insert_as(std::string key, Obs obs) {
+  const std::uint64_t hash = hasher_(key);
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
   std::vector<Entry>& bucket = shard.buckets[hash];
   for (const Entry& entry : bucket) {
-    if (entry.raw == raw) return entry.obs.get();  // racing worker won
+    const auto* held = std::get_if<std::unique_ptr<Obs>>(&entry.obs);
+    // A racing worker won: keep its (identical) entry.
+    if (held != nullptr && entry.key == key) return held->get();
   }
-  bucket.push_back(Entry{
-      std::string(raw),
-      std::make_unique<net::ChainObservation>(std::move(obs))});
-  bytes_.fetch_add(raw.size(), std::memory_order_relaxed);
-  return bucket.back().obs.get();
+  auto stored = std::make_unique<Obs>(std::move(obs));
+  const Obs* out = stored.get();
+  bytes_.fetch_add(key.size(), std::memory_order_relaxed);
+  bucket.push_back(Entry{std::move(key), std::move(stored)});
+  return out;
+}
+
+const net::ChainObservation* ObservationMemo::find(std::string_view raw) {
+  return find_as<net::ChainObservation>(raw);
+}
+
+const net::ChainObservation* ObservationMemo::insert(std::string_view raw,
+                                                     net::ChainObservation obs) {
+  return insert_as(std::string(raw), std::move(obs));
+}
+
+const StreamDetectionResult* ObservationMemo::find_stream(
+    const std::vector<std::string>& messages) {
+  return find_as<StreamDetectionResult>(stream_memo_key(messages));
+}
+
+const StreamDetectionResult* ObservationMemo::insert_stream(
+    const std::vector<std::string>& messages, StreamDetectionResult result) {
+  return insert_as(stream_memo_key(messages), std::move(result));
 }
 
 std::size_t ObservationMemo::size() const {
@@ -112,69 +154,18 @@ DetectionResult ParallelExecutor::run(const net::Chain& chain,
   const int attempts = std::max(1, config_.retry.attempts);
   const int deadline_ms = config_.retry.case_deadline_ms;
 
-  // Observe-and-evaluate for one case.  Memo hits (and freshly inserted
-  // entries) are evaluated in place — detection reads only the verdict
-  // maps, so no copy or uuid patching is needed.  A faulted observation is
-  // retried with backoff; only fault-free observations are cached or
-  // evaluated, and a case that faults through its whole retry budget is
-  // quarantined (empty delta, `status.quarantined` set).
-  const auto observe_and_evaluate =
-      [&](const TestCase& tc, net::EchoServer& echo, CaseStatus& status,
-          net::ChainObservation* prefetched) -> DetectionResult {
-    if (memo_p) {
-      // Only successful observations are ever inserted, so a hit is a
-      // known-good observation regardless of the fault schedule.
-      if (const net::ChainObservation* cached = memo_p->find(tc.raw)) {
-        // Keep the echo log faithful: a duplicate case still produces the
-        // same forwards on the wire.
-        for (const auto& [proxy, v] : cached->proxies) {
-          if (v.forwarded()) echo.record(tc.uuid, proxy, v.forwarded_bytes);
-        }
-        return engine.evaluate(tc, *cached);
-      }
-    }
+  // Observe through `observe_once(attempt)` until an observation comes back
+  // fault-free, retrying with backoff under the case deadline.  Shared by
+  // single-request and stream cases; returns nullopt once the case has
+  // faulted through its whole retry budget (`status.quarantined` set).
+  const auto observe_with_retry = [&](const TestCase& tc, CaseStatus& status,
+                                      const auto& observe_once) {
+    using Obs = std::decay_t<decltype(observe_once(0))>;
     const auto start = std::chrono::steady_clock::now();
     for (int attempt = 0;; ++attempt) {
-      net::ChainObservation obs;
-      bool via_hook = false;
-      if (prefetched && attempt == 0) {
-        // First attempt of a batched case: the block observation was
-        // already driven by the hook when the worker claimed the block.
-        obs = std::move(*prefetched);
-        via_hook = true;
-      } else if (config_.observe_batch) {
-        // Retry (or a case the hook under-delivered): re-observe just this
-        // case through the same transport.
-        std::vector<net::ChainObservation> one;
-        config_.observe_batch(&tc, 1, one);
-        if (!one.empty()) {
-          obs = std::move(one.front());
-        } else {
-          obs.uuid = tc.uuid;
-          obs.request = tc.raw;
-          obs.fault = net::ChainError::kConnectFail;
-          obs.fault_detail = "observe_batch produced no observation";
-        }
-        via_hook = true;
-      } else {
-        obs = chain.observe(tc.uuid, tc.raw, &echo, verdicts_p, track);
-      }
+      Obs obs = observe_once(attempt);
       status.attempts_used = static_cast<std::size_t>(attempt) + 1;
-      if (!obs.faulted()) {
-        if (via_hook) {
-          // chain.observe records forwards itself; a hook-produced
-          // observation flushes them here so the echo log stays faithful.
-          for (const auto& [proxy, v] : obs.proxies) {
-            if (v.forwarded()) echo.record(tc.uuid, proxy, v.forwarded_bytes);
-          }
-        }
-        if (memo_p) {
-          const net::ChainObservation* stored =
-              memo_p->insert(tc.raw, std::move(obs));
-          return engine.evaluate(tc, *stored);
-        }
-        return engine.evaluate(tc, obs);
-      }
+      if (!obs.faulted()) return std::optional<Obs>(std::move(obs));
       ++status.faulted_attempts;
       ++status.fault_counts[static_cast<std::size_t>(obs.fault)];
       status.last_error = obs.fault;
@@ -194,12 +185,105 @@ DetectionResult ParallelExecutor::run(const net::Chain& chain,
           status.last_detail += " [case deadline exceeded]";
         }
         if (trace) trace->instant("quarantine", "executor", "uuid", tc.uuid);
-        return DetectionResult{};
+        return std::optional<Obs>();
       }
       obs::Span backoff(trace, "backoff", "executor");
       std::this_thread::sleep_for(std::chrono::milliseconds(
           config_.retry.backoff_ms(attempt, tc.raw)));
     }
+  };
+
+  // Stream cases: observed over one persistent connection per leg and
+  // judged by the connection-level detectors.  Their instruments are looked
+  // up only when the case list holds a stream, so single-request runs
+  // expose no hdiff_stream_* series.
+  const bool has_streams =
+      std::any_of(cases.begin(), cases.end(),
+                  [](const TestCase& tc) { return tc.is_stream(); });
+  const obs::StreamObs stream_obs =
+      has_streams ? obs::StreamObs::from(ob) : obs::StreamObs{};
+  const obs::StreamObs* const strack =
+      stream_obs.active() ? &stream_obs : nullptr;
+  const StreamDetector stream_detector(chain);
+  const auto observe_and_evaluate_stream =
+      [&](const TestCase& tc, CaseStatus& status) -> DetectionResult {
+    DetectionResult delta;
+    if (memo_p) {
+      if (const StreamDetectionResult* cached =
+              memo_p->find_stream(tc.stream)) {
+        StreamDetector::count(*cached, strack);
+        delta.streams = cached->findings;
+        return delta;
+      }
+    }
+    std::optional<net::StreamObservation> obs =
+        observe_with_retry(tc, status, [&](int) {
+          return chain.observe_stream(tc.uuid, tc.stream, /*echo=*/nullptr,
+                                      verdicts_p, strack);
+        });
+    if (!obs) return delta;
+    StreamDetectionResult judged = stream_detector.evaluate(*obs, strack);
+    if (memo_p) memo_p->insert_stream(tc.stream, judged);
+    delta.streams = std::move(judged.findings);
+    return delta;
+  };
+
+  // Observe-and-evaluate for one case.  Memo hits (and freshly inserted
+  // entries) are evaluated in place — detection reads only the verdict
+  // maps, so no copy or uuid patching is needed.  A faulted observation is
+  // retried with backoff; only fault-free observations are cached or
+  // evaluated, and a case that faults through its whole retry budget is
+  // quarantined (empty delta, `status.quarantined` set).
+  const auto observe_and_evaluate =
+      [&](const TestCase& tc, net::EchoServer& echo, CaseStatus& status,
+          net::ChainObservation* prefetched) -> DetectionResult {
+    if (tc.is_stream()) return observe_and_evaluate_stream(tc, status);
+    if (memo_p) {
+      // Only successful observations are ever inserted, so a hit is a
+      // known-good observation regardless of the fault schedule.
+      if (const net::ChainObservation* cached = memo_p->find(tc.raw)) {
+        // Keep the echo log faithful: a duplicate case still produces the
+        // same forwards on the wire.
+        for (const auto& [proxy, v] : cached->proxies) {
+          if (v.forwarded()) echo.record(tc.uuid, proxy, v.forwarded_bytes);
+        }
+        return engine.evaluate(tc, *cached);
+      }
+    }
+    std::optional<net::ChainObservation> obs = observe_with_retry(
+        tc, status, [&](int attempt) -> net::ChainObservation {
+          if (prefetched && attempt == 0) {
+            // First attempt of a batched case: the block observation was
+            // already driven by the hook when the worker claimed the block.
+            return std::move(*prefetched);
+          }
+          if (config_.observe_batch) {
+            // Retry (or a case the hook under-delivered): re-observe just
+            // this case through the same transport.
+            std::vector<net::ChainObservation> one;
+            config_.observe_batch(&tc, 1, one);
+            if (!one.empty()) return std::move(one.front());
+            net::ChainObservation missing;
+            missing.uuid = tc.uuid;
+            missing.request = tc.raw;
+            missing.fault = net::ChainError::kConnectFail;
+            missing.fault_detail = "observe_batch produced no observation";
+            return missing;
+          }
+          return chain.observe(tc.uuid, tc.raw, &echo, verdicts_p, track);
+        });
+    if (!obs) return DetectionResult{};
+    if (config_.observe_batch) {
+      // chain.observe records forwards itself; a hook-produced observation
+      // flushes them here so the echo log stays faithful.
+      for (const auto& [proxy, v] : obs->proxies) {
+        if (v.forwarded()) echo.record(tc.uuid, proxy, v.forwarded_bytes);
+      }
+    }
+    if (memo_p) {
+      return engine.evaluate(tc, *memo_p->insert(tc.raw, std::move(*obs)));
+    }
+    return engine.evaluate(tc, *obs);
   };
 
   // Timing wrapper: one "case" span and one latency sample per test case.

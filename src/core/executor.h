@@ -9,10 +9,17 @@
 // case-index order, so the accumulated result is bit-identical to the serial
 // run regardless of thread scheduling.
 //
+// A case is either a single request or a request *stream* (TestCase::
+// stream): the executor observes a stream through `Chain::observe_stream`
+// and judges it with `StreamDetector`, under the same scheduling, retry,
+// quarantine, memo and index-order merge as a single request.
+//
 // Underneath sits a two-level observation memo:
 //   * `ObservationMemo` — whole-case level.  ABNF generation emits many
 //     byte-identical raw requests; the first observation of a given byte
 //     string is cached and reused (uuid patched) for every later duplicate.
+//     Stream cases are memoized alongside (their judged findings), keyed
+//     by case kind and message boundaries.
 //   * `net::VerdictCache` — model-call level, shared with the chain.  It
 //     catches the far larger redundancy the case-level memo cannot see:
 //     distinct raw requests whose *forwarded* bytes collapse after proxy
@@ -41,9 +48,11 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/detect.h"
+#include "core/stream_detect.h"
 #include "core/testcase.h"
 #include "net/chain.h"
 #include "obs/obs.h"
@@ -78,6 +87,18 @@ class ObservationMemo {
   const net::ChainObservation* insert(std::string_view raw,
                                       net::ChainObservation obs);
 
+  /// Stream-case counterparts of find/insert, same contract.  The entry is
+  /// keyed by the case kind plus the length-prefixed message list, so a
+  /// stream never aliases a single request with the same concatenated
+  /// bytes, nor another stream that splits those bytes differently.  A
+  /// stream entry holds the judged result rather than the observation: the
+  /// observation carries a connection trace per leg and is far larger,
+  /// while the findings are all a later duplicate needs.
+  const StreamDetectionResult* find_stream(
+      const std::vector<std::string>& messages);
+  const StreamDetectionResult* insert_stream(
+      const std::vector<std::string>& messages, StreamDetectionResult result);
+
   std::size_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
   }
@@ -91,9 +112,13 @@ class ObservationMemo {
   std::size_t size() const;
 
  private:
+  /// The variant alternative is the entry's case kind; lookups match on
+  /// kind as well as on the full key bytes.
   struct Entry {
-    std::string raw;
-    std::unique_ptr<net::ChainObservation> obs;
+    std::string key;
+    std::variant<std::unique_ptr<net::ChainObservation>,
+                 std::unique_ptr<StreamDetectionResult>>
+        obs;
   };
   struct Shard {
     mutable std::mutex mutex;
@@ -102,6 +127,10 @@ class ObservationMemo {
   static constexpr std::size_t kShards = 16;
 
   Shard& shard_for(std::uint64_t hash) { return shards_[hash % kShards]; }
+  template <class Obs>
+  const Obs* find_as(std::string_view key);
+  template <class Obs>
+  const Obs* insert_as(std::string key, Obs obs);
 
   Hasher hasher_;
   std::array<Shard, kShards> shards_;
@@ -158,7 +187,8 @@ struct ExecutorConfig {
   /// the retry/quarantine semantics of the chain path.  Memoization, the
   /// per-case spans and the deterministic case-index merge are unchanged —
   /// batching only overlaps the waiting.  (A block case that turns out to
-  /// be a memo hit discards its prefetched observation.)
+  /// be a memo hit discards its prefetched observation; stream cases
+  /// always observe through Chain::observe_stream.)
   std::size_t batch_size = 16;
   std::function<void(const TestCase* block, std::size_t n,
                      std::vector<net::ChainObservation>& out)>

@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "text/entailment.h"
 
@@ -49,6 +50,14 @@ struct TestCase {
   TestOrigin origin = TestOrigin::kManual;
   AttackClass category = AttackClass::kGeneric;
   std::optional<Assertion> assertion;
+  /// Stream case variant: the per-message wire bytes of a request stream
+  /// fired down one persistent connection (Chain::observe_stream, judged by
+  /// core::StreamDetector).  Empty for a single-request case.  For a stream
+  /// case `raw` is the messages' concatenation, which sharding, retry
+  /// backoff and the retry queue key on.
+  std::vector<std::string> stream;
+
+  bool is_stream() const noexcept { return !stream.empty(); }
 };
 
 }  // namespace hdiff::core

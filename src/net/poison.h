@@ -64,7 +64,7 @@ CpdosDemo demonstrate_cpdos(const impls::HttpImplementation& front,
 /// queue once a victim's request lands behind it.  The single
 /// response-queue-poisoning classifier: `demonstrate_smuggling` (the
 /// paper's §III-D end-game) and the stream queue-poison detector
-/// (src/stream/detect) both call this instead of each reimplementing the
+/// (core/stream_detect) both call this instead of each reimplementing the
 /// prefix-parse logic.
 struct QueueShift {
   /// The back-end's next response answers a different target than the

@@ -98,6 +98,7 @@ class Runner {
     // Resume the persisted lifecycle ring before anything can be recorded,
     // so /events sequence numbers continue across supervisor generations.
     flight_.load();
+    store_.set_io_jobs(config_.campaign.executor.jobs);
     // Restart backoff must fit inside one heartbeat interval, or a crashed
     // worker cannot be back before /healthz is allowed to degrade.
     restart_ = config_.restart;
@@ -148,6 +149,8 @@ class Runner {
                              const campaign::RoundPlan& plan,
                              std::vector<campaign::ShardResult>* results);
   bool spawn_worker(std::size_t shard, std::size_t round);
+  /// Fire the chaos actions (tests) due for this round's live workers.
+  void inject_chaos(std::size_t round);
   void release_slot(Slot& slot);
   void on_death(std::size_t shard);
   campaign::ShardResult run_inline(std::size_t round,
@@ -382,7 +385,33 @@ bool Runner::spawn_worker(std::size_t shard, std::size_t round) {
   if (sobs_.spawns) sobs_.spawns->add();
   hb_.beat(shard);  // age measures from spawn until the first real beat
   flight_.record("spawn", round, shard, "pid " + std::to_string(pid));
+  // A zero-delay chaos action fires before the next shard is spawned: a
+  // worker that finished its slice while later shards were still being
+  // spawned would otherwise dodge its signal.
+  inject_chaos(round);
   return true;
+}
+
+void Runner::inject_chaos(std::size_t round) {
+  // Chaos injection (tests): signal a freshly spawned worker.  Each action
+  // fires at most once ever (not once per spawn — a respawned worker must
+  // be allowed to finish, or a kill action would starve its shard forever).
+  const TimePoint now = Clock::now();
+  for (std::size_t a = 0; a < config_.chaos.size(); ++a) {
+    const ChaosAction& action = config_.chaos[a];
+    if (chaos_fired_[a] || action.round != round ||
+        action.shard >= slots_.size()) {
+      continue;
+    }
+    Slot& slot = slots_[action.shard];
+    if (slot.pid <= 0 || slot.done) continue;
+    if (now - slot.spawned_at < std::chrono::milliseconds(action.delay_ms)) {
+      continue;
+    }
+    chaos_fired_[a] = true;
+    ::kill(slot.pid,
+           action.kind == ChaosAction::Kind::kKill ? SIGKILL : SIGSTOP);
+  }
 }
 
 void Runner::on_death(std::size_t shard) {
@@ -589,29 +618,9 @@ bool Runner::execute_round_sharded(
       }
     }
 
-    // Chaos injection (tests): signal a freshly spawned worker.  Each
-    // action fires at most once ever (not once per spawn — a respawned
-    // worker must be allowed to finish, or a kill action would starve its
-    // shard forever).  The clock is re-read here so a zero-delay action
-    // fires in the same iteration as the spawn, while the child is still
-    // exec()ing — that makes the kill deterministic even for shards whose
-    // work would finish within one supervision poll.
-    now = Clock::now();
-    for (std::size_t a = 0; a < config_.chaos.size(); ++a) {
-      const ChaosAction& action = config_.chaos[a];
-      if (chaos_fired_[a] || action.round != round || action.shard >= n) {
-        continue;
-      }
-      Slot& slot = slots_[action.shard];
-      if (slot.pid <= 0 || slot.done) continue;
-      if (now - slot.spawned_at <
-          std::chrono::milliseconds(action.delay_ms)) {
-        continue;
-      }
-      chaos_fired_[a] = true;
-      ::kill(slot.pid,
-             action.kind == ChaosAction::Kind::kKill ? SIGKILL : SIGSTOP);
-    }
+    // Delayed chaos actions come due here; zero-delay ones already fired
+    // inside spawn_worker.
+    inject_chaos(round);
 
     pump(poll_ms);
     now = Clock::now();

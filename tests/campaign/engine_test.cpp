@@ -1,7 +1,8 @@
 // Campaign engine end-to-end properties on the modelled fleet: `--jobs`
-// determinism (byte-identical state and findings artifacts), crash/resume
-// byte-identity, fingerprint uniqueness, config-signature protection, and
-// the PR-2 quarantine/retry integration under persistent harness faults.
+// determinism (byte-identical state, findings and corpus artifacts),
+// crash/resume byte-identity, fingerprint uniqueness, config-signature
+// protection, the quarantine/retry integration under persistent harness
+// faults, and the same properties with stream cases on.
 #include "campaign/engine.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -21,6 +23,8 @@
 #include "core/probes.h"
 #include "impls/products.h"
 #include "net/fault.h"
+#include "stream/model.h"
+#include "stream/seeds.h"
 
 namespace hdiff::campaign {
 namespace {
@@ -61,6 +65,59 @@ CampaignConfig make_config(const std::string& dir, std::size_t rounds,
   config.executor.jobs = jobs;
   config.bootstrap = small_bootstrap();
   return config;
+}
+
+CampaignConfig make_stream_config(const std::string& dir, std::size_t rounds,
+                                  std::size_t jobs) {
+  CampaignConfig config = make_config(dir, rounds, jobs);
+  config.streams = true;
+  config.stream_budget_per_round = 12;
+  return config;
+}
+
+/// corpus/ as file name -> bytes: the third artifact (besides the
+/// checkpoint and findings.jsonl) a resumed run must reproduce exactly.
+std::map<std::string, std::string> corpus_listing(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& f : fs::directory_iterator(dir + "/corpus")) {
+    files[f.path().filename().string()] = slurp(f.path().string());
+  }
+  return files;
+}
+
+/// Every entry=/sentry= line of the committed checkpoint names a corpus
+/// file that exists and parses.  Returns the number of entries checked.
+std::size_t expect_checkpoint_files_durable(const std::string& dir) {
+  StateStore store(dir);
+  std::istringstream state(slurp(store.state_path()));
+  std::size_t checked = 0;
+  for (std::string line; std::getline(state, line);) {
+    const bool single = line.rfind("entry=", 0) == 0;
+    const bool stream_entry = line.rfind("sentry=", 0) == 0;
+    if (!single && !stream_entry) continue;
+    const std::size_t eq = line.find('=');
+    const std::string hash = line.substr(eq + 1, line.find(' ') - eq - 1);
+    const std::string path = single ? store.corpus_path(hash)
+                                    : store.stream_corpus_path(hash);
+    EXPECT_TRUE(fs::exists(path)) << path;
+    if (single) {
+      http::RequestSpec spec;
+      EXPECT_TRUE(deserialize_spec(slurp(path), &spec)) << path;
+    } else {
+      stream::RequestStream parsed;
+      EXPECT_TRUE(stream::deserialize_stream(slurp(path), &parsed)) << path;
+    }
+    ++checked;
+  }
+  return checked;
+}
+
+std::size_t count_stream_retries(const StateStore& store) {
+  std::size_t n = 0;
+  for (const auto& r : store.retry_queue) {
+    n += stream::is_stream_text(r.spec_text) ? 1 : 0;
+  }
+  return n;
 }
 
 // A miniature grammar whose rule names line up with the mutation engine's
@@ -104,24 +161,38 @@ TEST_F(EngineTest, StateAndFindingsAreByteIdenticalAcrossJobs) {
   fs::remove_all(dir8);
 }
 
-TEST_F(EngineTest, CrashedRoundResumesByteIdentically) {
-  const std::string ref_dir = fresh_dir("ref");
-  const std::string crash_dir = fresh_dir("crash");
+/// Run `make(dir, 2, 1)` uninterrupted and killed-then-resumed; the
+/// checkpoint, findings.jsonl and corpus/ must end byte-identical.
+void expect_crash_resume_byte_identical(
+    const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet,
+    CampaignConfig (*make)(const std::string&, std::size_t, std::size_t),
+    const std::string& tag) {
+  const std::string ref_dir = fresh_dir(tag + "-ref");
+  const std::string crash_dir = fresh_dir(tag + "-crash");
 
-  const auto ref = CampaignEngine(make_config(ref_dir, 2, 1)).run(fleet_);
+  const auto ref = CampaignEngine(make(ref_dir, 2, 1)).run(fleet);
   ASSERT_TRUE(ref.error.empty()) << ref.error;
 
-  // Kill in the worst window: round 1's findings appended, checkpoint not
-  // yet renamed.
-  auto crashing = make_config(crash_dir, 2, 1);
+  // Kill in the worst window: round 1's corpus files and findings lines on
+  // disk, checkpoint not yet renamed.
+  auto crashing = make(crash_dir, 2, 1);
   crashing.crash_after_round = 1;
-  const auto interrupted = CampaignEngine(crashing).run(fleet_);
+  const auto interrupted = CampaignEngine(crashing).run(fleet);
   ASSERT_TRUE(interrupted.error.empty()) << interrupted.error;
   EXPECT_TRUE(interrupted.interrupted);
   EXPECT_LT(interrupted.rounds_completed, ref.rounds_completed);
+  {
+    // The window really is the worst one: the round's findings lines are
+    // appended beyond what the checkpoint commits.
+    StateStore crashed(crash_dir);
+    ASSERT_TRUE(crashed.load_readonly()) << crashed.error();
+    std::istringstream lines(slurp(crashed.findings_path()));
+    std::size_t appended = 0;
+    for (std::string line; std::getline(lines, line);) ++appended;
+    EXPECT_GT(appended, crashed.findings.size());
+  }
 
-  const auto resumed =
-      CampaignEngine(make_config(crash_dir, 2, 1)).run(fleet_);
+  const auto resumed = CampaignEngine(make(crash_dir, 2, 1)).run(fleet);
   ASSERT_TRUE(resumed.error.empty()) << resumed.error;
   EXPECT_TRUE(resumed.resumed);
   EXPECT_FALSE(resumed.interrupted);
@@ -130,9 +201,151 @@ TEST_F(EngineTest, CrashedRoundResumesByteIdentically) {
   StateStore a(ref_dir), b(crash_dir);
   EXPECT_EQ(slurp(a.state_path()), slurp(b.state_path()));
   EXPECT_EQ(slurp(a.findings_path()), slurp(b.findings_path()));
+  EXPECT_EQ(corpus_listing(ref_dir), corpus_listing(crash_dir));
 
   fs::remove_all(ref_dir);
   fs::remove_all(crash_dir);
+}
+
+TEST_F(EngineTest, CrashedRoundResumesByteIdentically) {
+  expect_crash_resume_byte_identical(fleet_, &make_config, "crash");
+}
+
+TEST_F(EngineTest, CrashedStreamRoundResumesByteIdentically) {
+  expect_crash_resume_byte_identical(fleet_, &make_stream_config,
+                                     "stream-crash");
+}
+
+TEST_F(EngineTest, StreamCampaignIsByteIdenticalAcrossJobs) {
+  const std::string dir1 = fresh_dir("stream-jobs1");
+  const std::string dir8 = fresh_dir("stream-jobs8");
+
+  const auto r1 = CampaignEngine(make_stream_config(dir1, 2, 1)).run(fleet_);
+  const auto r8 = CampaignEngine(make_stream_config(dir8, 2, 8)).run(fleet_);
+  ASSERT_TRUE(r1.error.empty()) << r1.error;
+  ASSERT_TRUE(r8.error.empty()) << r8.error;
+  EXPECT_GT(r1.stream_entries, 0u);
+
+  StateStore s1(dir1), s8(dir8);
+  ASSERT_TRUE(s1.load_readonly()) << s1.error();
+  bool stream_finding = false;
+  for (const auto& f : s1.findings) {
+    stream_finding |= f.detector.rfind("stream-", 0) == 0;
+  }
+  EXPECT_TRUE(stream_finding);
+  EXPECT_EQ(slurp(s1.state_path()), slurp(s8.state_path()));
+  EXPECT_EQ(slurp(s1.findings_path()), slurp(s8.findings_path()));
+  EXPECT_EQ(corpus_listing(dir1), corpus_listing(dir8));
+
+  fs::remove_all(dir1);
+  fs::remove_all(dir8);
+}
+
+TEST_F(EngineTest, EveryStreamCampaignCommitNamesOnlyDurableFiles) {
+  // Drive the rounds through the public hooks so the checkpoint can be
+  // inspected after every single commit, not just at the end.
+  const std::string dir = fresh_dir("stream-durable");
+  const CampaignConfig config = make_stream_config(dir, 3, 4);
+  StateStore store(dir);
+  store.set_io_jobs(config.executor.jobs);
+  ASSERT_TRUE(store.acquire_lock()) << store.error();
+  ASSERT_TRUE(store.init(campaign_config_sig(config))) << store.error();
+  register_seed_entries(store, config);
+  register_stream_seed_entries(store, config);
+  const net::Chain chain = net::Chain::from_fleet(fleet_);
+  core::ObservationMemo memo;
+  net::VerdictCache verdicts;
+  for (std::size_t round = 0; round <= config.rounds; ++round) {
+    RoundPlan plan = plan_round(store, config, round);
+    ExecutedRound executed =
+        execute_round(config, chain, plan.cases, &memo, &verdicts);
+    integrate_round(store, config, round, plan.cases, executed.outcomes,
+                    chain, &memo, &verdicts);
+    ASSERT_TRUE(store.commit_round(round)) << store.error();
+    const std::size_t checked = expect_checkpoint_files_durable(dir);
+    EXPECT_EQ(checked, store.entries.size() + store.stream_entries.size());
+    StateStore reader(dir);
+    ASSERT_TRUE(reader.load_readonly()) << reader.error();
+    EXPECT_EQ(reader.rounds_completed, round + 1);
+  }
+  EXPECT_GT(store.stream_entries.size(),
+            stream::default_stream_seeds().size());
+  fs::remove_all(dir);
+}
+
+TEST_F(EngineTest, FaultedStreamCaseIsQuarantinedAndReplayedOnResume) {
+  const std::string dir = fresh_dir("stream-fault");
+  ASSERT_TRUE(
+      CampaignEngine(make_stream_config(dir, 0, 1)).run(fleet_).error.empty());
+
+  // Round 1 — where the stream seeds are first observed — against a fleet
+  // whose every model call faults, driven through the public hooks so the
+  // executor's stats are visible.
+  net::FaultPlanConfig plan_config;
+  plan_config.rate = 1.0;
+  plan_config.max_faults_per_site = 0;  // persistent
+  plan_config.kinds = {net::FaultKind::kReset};
+  auto faulty = net::wrap_fleet_with_faults(
+      fleet_, std::make_shared<net::FaultPlan>(plan_config));
+  CampaignConfig config = make_stream_config(dir, 1, 2);
+  config.executor.retry.attempts = 2;
+  config.executor.retry.backoff_max_ms = 1;
+  {
+    StateStore store(dir);
+    ASSERT_TRUE(store.acquire_lock()) << store.error();
+    ASSERT_TRUE(store.load()) << store.error();
+    const RoundPlan plan = plan_round(store, config, 1);
+    std::set<std::string> stream_uuids;
+    for (const auto& pc : plan.cases) {
+      if (pc.is_stream) stream_uuids.insert(pc.tc.uuid);
+    }
+    ASSERT_FALSE(stream_uuids.empty());
+
+    const net::Chain chain = net::Chain::from_fleet(faulty);
+    core::ObservationMemo memo;
+    net::VerdictCache verdicts;
+    const ExecutedRound executed =
+        execute_round(config, chain, plan.cases, &memo, &verdicts);
+    std::size_t quarantined_streams = 0;
+    for (const auto& q : executed.stats.quarantined) {
+      if (stream_uuids.count(q.uuid) == 0) continue;
+      ++quarantined_streams;
+      EXPECT_EQ(q.attempts, 2u) << q.uuid;  // retried under RetryPolicy
+      EXPECT_EQ(q.error, net::ChainError::kReset) << q.uuid;
+    }
+    EXPECT_EQ(quarantined_streams, stream_uuids.size());
+    EXPECT_EQ(executed.stats.quarantined_cases, plan.cases.size());
+
+    const RoundReport rr = integrate_round(store, config, 1, plan.cases,
+                                           executed.outcomes, chain, &memo,
+                                           &verdicts);
+    EXPECT_EQ(rr.quarantined, plan.cases.size());
+    EXPECT_EQ(count_stream_retries(store), stream_uuids.size());
+    ASSERT_TRUE(store.commit_round(1)) << store.error();
+  }
+  const auto status = CampaignEngine::status(dir);
+  EXPECT_GT(status.retry_depth, 0u);
+
+  // Resume against the healthy fleet: round 2 replays the quarantined
+  // stream cases first and recovers their stream findings.
+  const auto resumed =
+      CampaignEngine(make_stream_config(dir, 2, 2)).run(fleet_);
+  ASSERT_TRUE(resumed.error.empty()) << resumed.error;
+  ASSERT_EQ(resumed.rounds.size(), 1u);
+  EXPECT_EQ(resumed.rounds[0].replayed, status.retry_depth);
+  EXPECT_EQ(resumed.rounds[0].quarantined, 0u);
+  EXPECT_EQ(resumed.retry_depth, 0u);
+  StateStore after(dir);
+  ASSERT_TRUE(after.load_readonly()) << after.error();
+  bool replayed_stream_finding = false;
+  for (const auto& f : after.findings) {
+    replayed_stream_finding |= f.round == 2 &&
+                               f.detector.rfind("stream-", 0) == 0 &&
+                               f.provenance.rfind("stream-seed:", 0) == 0;
+  }
+  EXPECT_TRUE(replayed_stream_finding);
+
+  fs::remove_all(dir);
 }
 
 TEST_F(EngineTest, CoverageWeightedRunsAreByteIdenticalAcrossJobs) {

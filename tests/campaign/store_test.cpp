@@ -118,7 +118,99 @@ TEST(StoreTest, AddEntryIsIdempotentByHash) {
   EXPECT_EQ(first, again);
   EXPECT_EQ(store.entries.size(), 1u);
   EXPECT_TRUE(store.has_entry(entry.hash));
+  // add_entry only stages the file; the round's commit writes it.
+  EXPECT_FALSE(fs::exists(store.corpus_path(entry.hash)));
+  ASSERT_TRUE(store.commit_round(0)) << store.error();
   EXPECT_TRUE(fs::exists(store.corpus_path(entry.hash)));
+  EXPECT_EQ(slurp(store.corpus_path(entry.hash)), serialize_spec(entry.spec));
+}
+
+TEST(StoreTest, FailedCorpusWriteFailsTheCommitAndKeepsTheCheckpoint) {
+  const std::string dir = fresh_dir("write-fail");
+  StateStore store(dir);
+  ASSERT_TRUE(store.init("sig"));
+  CorpusEntry kept;
+  kept.spec = http::make_get("origin.example");
+  kept.hash = content_address(kept.spec);
+  kept.provenance = "seed:get";
+  store.add_entry(kept);
+  ASSERT_TRUE(store.commit_round(0)) << store.error();
+  const std::string committed = slurp(store.state_path());
+  const std::string committed_findings = slurp(store.findings_path());
+
+  // Swap corpus/ for a regular file: every open beneath it fails with
+  // ENOTDIR (unlike chmod, this stops root too).
+  const std::string corpus = dir + "/corpus";
+  fs::rename(corpus, dir + "/corpus.aside");
+  { std::ofstream(corpus) << "not a directory"; }
+
+  CorpusEntry lost;
+  lost.spec = exotic_spec();
+  lost.hash = content_address(lost.spec);
+  lost.provenance = "mutant:x:y";
+  store.add_entry(lost);
+  Finding f;
+  f.round = 1;
+  f.fingerprint = "00000000000000ee";
+  f.detector = "HRS";
+  f.provenance = lost.provenance;
+  store.add_finding(f);
+  EXPECT_FALSE(store.commit_round(1));
+  EXPECT_NE(store.error().find(lost.hash), std::string::npos)
+      << store.error();
+  EXPECT_EQ(store.rounds_completed, 1u);
+
+  // Neither the checkpoint nor the findings artifact moved, and the
+  // previous checkpoint still loads.
+  EXPECT_EQ(slurp(store.state_path()), committed);
+  EXPECT_EQ(slurp(store.findings_path()), committed_findings);
+  fs::remove(corpus);
+  fs::rename(dir + "/corpus.aside", corpus);
+  StateStore loaded(dir);
+  ASSERT_TRUE(loaded.load()) << loaded.error();
+  EXPECT_EQ(loaded.rounds_completed, 1u);
+  ASSERT_EQ(loaded.entries.size(), 1u);
+  EXPECT_EQ(loaded.entries[0].hash, kept.hash);
+  EXPECT_TRUE(loaded.findings.empty());
+  EXPECT_FALSE(fs::exists(store.corpus_path(lost.hash)));
+
+  fs::remove_all(dir);
+}
+
+TEST(StoreTest, CommitWritesStagedStreamFilesAndFindingsAtOnce) {
+  const std::string dir = fresh_dir("stage");
+  StateStore store(dir);
+  store.set_io_jobs(4);
+  ASSERT_TRUE(store.init("sig"));
+  StreamEntry entry;
+  entry.stream = stream::make_stream(
+      {http::make_get("origin.example"), exotic_spec()});
+  entry.hash = stream_content_address(entry.stream);
+  entry.provenance = "stream-seed:pair";
+  EXPECT_EQ(store.add_stream_entry(entry), store.add_stream_entry(entry));
+  Finding f;
+  f.round = 0;
+  f.fingerprint = "00000000000000ff";
+  f.detector = "stream-boundary-desync";
+  f.provenance = entry.provenance;
+  store.add_finding(f);
+  EXPECT_FALSE(fs::exists(store.stream_corpus_path(entry.hash)));
+  EXPECT_EQ(slurp(store.findings_path()), "");
+
+  ASSERT_TRUE(store.commit_round(0)) << store.error();
+  EXPECT_EQ(slurp(store.stream_corpus_path(entry.hash)),
+            stream::serialize_stream(entry.stream));
+  EXPECT_FALSE(fs::exists(store.stream_corpus_path(entry.hash) + ".tmp"));
+  EXPECT_EQ(slurp(store.findings_path()), finding_jsonl(f) + "\n");
+
+  // A second commit with nothing staged appends nothing.
+  ASSERT_TRUE(store.commit_round(1)) << store.error();
+  EXPECT_EQ(slurp(store.findings_path()), finding_jsonl(f) + "\n");
+  StateStore loaded(dir);
+  ASSERT_TRUE(loaded.load()) << loaded.error();
+  ASSERT_EQ(loaded.stream_entries.size(), 1u);
+  EXPECT_EQ(loaded.stream_entries[0].stream, entry.stream);
+  fs::remove_all(dir);
 }
 
 TEST(StoreTest, CommitLoadRoundTripsEveryField) {

@@ -79,6 +79,40 @@ TEST(ObservationMemo, HashCollisionsCannotAlias) {
   EXPECT_EQ(memo.find("charlie"), nullptr);  // same hash, absent bytes
 }
 
+StreamDetectionResult tagged_stream_result(std::string tag) {
+  StreamDetectionResult result;
+  result.findings.push_back({std::move(tag), {"a|b"}, ""});
+  return result;
+}
+
+TEST(ObservationMemo, StreamKeysEncodeKindAndBoundaries) {
+  // Every key collides, so only the key bytes and the case kind can tell
+  // the entries apart.
+  ObservationMemo memo(&collide_everything);
+  memo.insert_stream({"GET /a\r\n\r\n", "GET /b\r\n\r\n"},
+                     tagged_stream_result("split-after-a"));
+  // The same concatenated bytes as one message, or split elsewhere, are
+  // different streams.
+  EXPECT_EQ(memo.find_stream({"GET /a\r\n\r\nGET /b\r\n\r\n"}), nullptr);
+  EXPECT_EQ(memo.find_stream({"GET /a\r\n\r\nGET /b", "\r\n\r\n"}), nullptr);
+  const StreamDetectionResult* hit =
+      memo.find_stream({"GET /a\r\n\r\n", "GET /b\r\n\r\n"});
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->findings.at(0).detector, "split-after-a");
+
+  // A single request whose raw bytes spell a stream's length-prefixed key
+  // still never aliases that stream: the kind is part of the key.
+  memo.insert("1:x1:y", tagged_observation("single"));
+  EXPECT_EQ(memo.find_stream({"x", "y"}), nullptr);
+  memo.insert_stream({"x", "y"}, tagged_stream_result("stream-xy"));
+  ASSERT_NE(memo.find("1:x1:y"), nullptr);
+  EXPECT_EQ(memo.find("1:x1:y")->uuid, "single");
+  ASSERT_NE(memo.find_stream({"x", "y"}), nullptr);
+  EXPECT_EQ(memo.find_stream({"x", "y"})->findings.at(0).detector,
+            "stream-xy");
+  EXPECT_EQ(memo.size(), 3u);
+}
+
 TEST(ObservationMemo, DefaultHashIsFnv1a) {
   // FNV-1a 64-bit reference vectors.
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);

@@ -94,6 +94,12 @@ struct ExtractCase {
   const char* expected;
 };
 
+// Gives each case a stable test name; gtest's default byte dump of this
+// struct embeds string addresses, which change from run to run.
+void PrintTo(const ExtractCase& c, std::ostream* os) {
+  *os << '"' << c.value << "\" via " << to_string(c.strategy);
+}
+
 class ExtractHostTest : public ::testing::TestWithParam<ExtractCase> {};
 
 TEST_P(ExtractHostTest, Extracts) {

@@ -1,4 +1,4 @@
-#include "stream/detect.h"
+#include "core/stream_detect.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,13 @@
 
 namespace hdiff::stream {
 namespace {
+
+using core::kBoundaryDesync;
+using core::kLeftoverDivergence;
+using core::kQueuePoison;
+using core::StreamDetectionResult;
+using core::StreamDetector;
+using core::StreamFinding;
 
 const RequestStream& seed_named(const std::string& name) {
   for (const auto& s : default_stream_seeds()) {

@@ -78,6 +78,12 @@ struct SrExample {
   bool is_sr;
 };
 
+// Gives each case a stable test name; gtest's default byte dump of this
+// struct embeds the sentence's address, which changes from run to run.
+void PrintTo(const SrExample& e, std::ostream* os) {
+  *os << '"' << e.sentence << '"';
+}
+
 class SentimentCorpusTest : public ::testing::TestWithParam<SrExample> {};
 
 TEST_P(SentimentCorpusTest, ClassifiesRfcStyleSentences) {

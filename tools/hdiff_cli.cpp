@@ -1450,14 +1450,34 @@ int cmd_campaign(int argc, char** argv) {
   return 0;
 }
 
+/// A state dir's corpus/ as one comparable string: every file name and
+/// its bytes, in name order.
+std::string corpus_image(const std::string& state_dir) {
+  namespace fs = std::filesystem;
+  std::set<std::string> names;
+  std::error_code ec;
+  for (const auto& f : fs::directory_iterator(state_dir + "/corpus", ec)) {
+    names.insert(f.path().filename().string());
+  }
+  std::string image;
+  for (const auto& name : names) {
+    std::ifstream in(state_dir + "/corpus/" + name, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    image += name + '\0' + bytes.str() + '\0';
+  }
+  return image;
+}
+
 /// `selftest --campaign`: the acceptance proof for the campaign engine.
 /// Runs a 2-round mini campaign (probe bootstrap) twice — once
-/// uninterrupted, once killed in the worst crash window (findings appended,
-/// checkpoint not yet renamed) and resumed — and asserts:
+/// uninterrupted, once killed in the worst crash window (the round's
+/// corpus files and findings lines on disk, checkpoint not yet renamed) and
+/// resumed — and asserts:
 ///   1. the campaign's findings are a superset of the one-shot findings;
 ///   2. every fingerprint appears exactly once in the findings DB;
-///   3. state and findings files of the resumed run are byte-identical to
-///      the uninterrupted run's.
+///   3. state, findings and corpus files of the resumed run are
+///      byte-identical to the uninterrupted run's.
 int selftest_campaign(std::size_t jobs) {
   namespace fs = std::filesystem;
   namespace camp = hdiff::campaign;
@@ -1553,9 +1573,9 @@ int selftest_campaign(std::size_t jobs) {
   std::printf("dedup check: %zu finding(s), all fingerprints unique\n",
               ref_store.findings.size());
 
-  // 3. Kill in the worst window (findings appended, checkpoint not yet
-  // renamed) and resume; state and findings bytes must match the
-  // uninterrupted run exactly.
+  // 3. Kill in the worst window (corpus files and findings lines written,
+  // checkpoint not yet renamed) and resume; state, findings and corpus
+  // bytes must match the uninterrupted run exactly.
   std::printf("crashed run (kill after round 1's findings append)...\n");
   camp::CampaignConfig crash_config = base_config("resumed");
   crash_config.crash_after_round = 1;
@@ -1587,10 +1607,15 @@ int selftest_campaign(std::size_t jobs) {
     std::printf("selftest FAILED: findings.jsonl differs after resume\n");
     rc = 1;
   }
+  if (corpus_image(ref_store.state_dir()) !=
+      corpus_image(res_store.state_dir())) {
+    std::printf("selftest FAILED: corpus/ differs after resume\n");
+    rc = 1;
+  }
   if (rc == 0) {
     std::printf(
-        "selftest PASSED: resumed state and findings byte-identical to the "
-        "uninterrupted run (%zu finding(s), %zu corpus entr%s)\n",
+        "selftest PASSED: resumed state, findings and corpus byte-identical "
+        "to the uninterrupted run (%zu finding(s), %zu corpus entr%s)\n",
         ref.total_findings, ref.corpus_entries,
         ref.corpus_entries == 1 ? "y" : "ies");
     fs::remove_all(root, ec);
@@ -1605,11 +1630,12 @@ int selftest_campaign(std::size_t jobs) {
 ///      queue-poisoning / leftover divergence the single-request pipeline
 ///      cannot represent (its detectors never emit stream classes);
 ///   2. the `hdiff_stream_*` observability series were populated;
-///   3. state and findings are byte-identical between `--jobs 1` and a
-///      wide-parallel run (stream cases observe serially; the schedule is a
-///      pure function of the committed checkpoint);
+///   3. state, findings and corpus are byte-identical between `--jobs 1`
+///      and a wide-parallel run (stream cases run on the parallel executor,
+///      merged in case-index order; the schedule is a pure function of the
+///      committed checkpoint);
 ///   4. a run killed in the worst crash window after round 1 resumes to
-///      byte-identical state and findings.
+///      byte-identical state, findings and corpus.
 int selftest_stream(std::size_t jobs) {
   namespace fs = std::filesystem;
   namespace camp = hdiff::campaign;
@@ -1713,13 +1739,19 @@ int selftest_stream(std::size_t jobs) {
     std::printf("selftest FAILED: findings.jsonl differs across --jobs\n");
     rc = 1;
   }
+  if (corpus_image(ref_store.state_dir()) !=
+      corpus_image(wide_store.state_dir())) {
+    std::printf("selftest FAILED: corpus/ differs across --jobs\n");
+    rc = 1;
+  }
   if (rc != 0) return rc;
-  std::printf("parallelism check: state and findings byte-identical at "
-              "--jobs 1 and --jobs %zu\n",
+  std::printf("parallelism check: state, findings and corpus byte-identical "
+              "at --jobs 1 and --jobs %zu\n",
               wide);
 
-  // 4. Kill in the worst window (findings appended, checkpoint not yet
-  // renamed) and resume; bytes must match the uninterrupted run exactly.
+  // 4. Kill in the worst window (corpus files and findings lines written,
+  // checkpoint not yet renamed) and resume; bytes must match the
+  // uninterrupted run exactly.
   std::printf("crashed run (kill after round 1's findings append)...\n");
   camp::CampaignConfig crash_config = base_config("resumed", 1);
   crash_config.crash_after_round = 1;
@@ -1749,10 +1781,15 @@ int selftest_stream(std::size_t jobs) {
     std::printf("selftest FAILED: findings.jsonl differs after resume\n");
     rc = 1;
   }
+  if (corpus_image(ref_store.state_dir()) !=
+      corpus_image(res_store.state_dir())) {
+    std::printf("selftest FAILED: corpus/ differs after resume\n");
+    rc = 1;
+  }
   if (rc == 0) {
     std::printf(
-        "selftest PASSED: %zu stream detector class(es) filed; state and "
-        "findings byte-identical across --jobs and crash-resume\n",
+        "selftest PASSED: %zu stream detector class(es) filed; state, "
+        "findings and corpus byte-identical across --jobs and crash-resume\n",
         stream_detectors.size());
     fs::remove_all(root, ec);
   }
@@ -2211,6 +2248,10 @@ int selftest_serve(std::size_t jobs) {
       std::printf("selftest FAILED: %s findings.jsonl differs\n", what);
       rc = 1;
     }
+    if (corpus_image(ref_dir) != corpus_image(got_dir)) {
+      std::printf("selftest FAILED: %s corpus/ differs\n", what);
+      rc = 1;
+    }
     return rc;
   };
 
@@ -2282,7 +2323,8 @@ int selftest_serve(std::size_t jobs) {
       rc != 0) {
     return rc;
   }
-  std::printf("chaos: state and findings byte-identical to the reference\n");
+  std::printf(
+      "chaos: state, findings and corpus byte-identical to the reference\n");
 
   // -- 2b. merged fleet metrics equal an --in-process run's -----------------
   // Worker observations travel only inside adopted durable shard results,
