@@ -124,16 +124,52 @@ const std::vector<stream::StreamSeed>& resolved_stream_seeds(
                                      : config.stream_seeds;
 }
 
-/// All single-application stream mutants of an entry, grouped by kind in
-/// deterministic emission order.
-std::map<std::string, std::vector<stream::StreamMutant>>
-stream_variants_by_kind(const stream::RequestStream& s) {
+/// A request entry's arm table: one row per MutationKind that has variants
+/// for `spec`, in all_mutation_kinds() order, with the variant count and
+/// (coverage on) the production ids those variants touch.  The variants
+/// themselves are dropped here; plan_round rebuilds them only for the
+/// entries that receive budget.
+std::vector<RequestArm> request_arms_of(const http::RequestSpec& spec,
+                                     const analysis::CoveragePlan& plan,
+                                     bool cov) {
+  std::map<std::string, std::vector<core::Mutant>> grouped =
+      variants_by_kind(spec, cov);
+  std::vector<RequestArm> arms;
+  for (core::MutationKind kind : core::all_mutation_kinds()) {
+    std::string kind_name(to_string(kind));
+    const auto it = grouped.find(kind_name);
+    if (it == grouped.end() || it->second.empty()) continue;
+    RequestArm arm;
+    arm.kind = std::move(kind_name);
+    arm.variants = it->second.size();
+    if (cov) {
+      std::set<std::size_t> touched;
+      for (const core::Mutant& m : it->second) {
+        for (std::size_t id : cov_ids_of(plan, m)) touched.insert(id);
+      }
+      arm.cov_ids.assign(touched.begin(), touched.end());
+    }
+    arms.push_back(std::move(arm));
+  }
+  return arms;
+}
+
+/// A stream entry's arm table: its single-application mutants grouped by
+/// kind, in all_stream_mutation_kinds() order, empty kinds omitted.
+std::vector<StreamArm> stream_arms_of(const stream::RequestStream& s) {
   std::map<std::string, std::vector<stream::StreamMutant>> grouped;
   for (auto& mutant : stream::stream_mutants(s)) {
     const std::string kind(to_string(mutant.applied.kind));
     grouped[kind].push_back(std::move(mutant));
   }
-  return grouped;
+  std::vector<StreamArm> arms;
+  for (stream::StreamMutationKind kind : stream::all_stream_mutation_kinds()) {
+    std::string kind_name(to_string(kind));
+    const auto it = grouped.find(kind_name);
+    if (it == grouped.end() || it->second.empty()) continue;
+    arms.push_back({std::move(kind_name), std::move(it->second)});
+  }
+  return arms;
 }
 
 /// Canonical signature-set key used by the minimizer oracle ("does the
@@ -278,23 +314,19 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
       pc.is_stream = stream::deserialize_stream(r.spec_text, &pc.stream);
       if (pc.is_stream) pc.tc.stream = pc.stream.wires();
       if (parse_stream_mutant_provenance(r.provenance, &hash, &kind)) {
-        for (std::size_t e = 0; e < store.stream_entries.size(); ++e) {
-          if (store.stream_entries[e].hash == hash) {
-            pc.arm_entry = e;
-            pc.arm_kind = kind;
-            break;
-          }
+        const std::size_t e = store.stream_entry_index(hash);
+        if (e != StateStore::npos) {
+          pc.arm_entry = e;
+          pc.arm_kind = kind;
         }
       }
     } else {
       if (!r.spec_text.empty()) deserialize_spec(r.spec_text, &pc.spec);
       if (parse_mutant_provenance(r.provenance, &hash, &kind)) {
-        for (std::size_t e = 0; e < store.entries.size(); ++e) {
-          if (store.entries[e].hash == hash) {
-            pc.arm_entry = e;
-            pc.arm_kind = kind;
-            break;
-          }
+        const std::size_t e = store.entry_index(hash);
+        if (e != StateStore::npos) {
+          pc.arm_entry = e;
+          pc.arm_kind = kind;
         }
       }
     }
@@ -314,39 +346,32 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
       }
     }
   }
+  // Arm tables are built once per entry, the first round that sees it.
+  for (std::size_t e = store.entry_arms.size(); e < store.entries.size();
+       ++e) {
+    store.entry_arms.push_back(
+        request_arms_of(store.entries[e].spec, store.coverage, cov));
+  }
   struct ArmPlan {
     std::size_t entry;
-    std::string kind;
-    std::vector<core::Mutant>* variants;
+    const RequestArm* arm;
   };
   std::vector<ArmPlan> arm_plans;
   std::vector<ArmView> views;
-  std::vector<std::map<std::string, std::vector<core::Mutant>>> grouped;
-  grouped.reserve(store.entries.size());
-  for (const auto& entry : store.entries) {
-    grouped.push_back(variants_by_kind(entry.spec, cov));
-  }
   for (std::size_t e = 0; e < store.entries.size(); ++e) {
-    for (core::MutationKind kind : core::all_mutation_kinds()) {
-      const std::string kind_name(to_string(kind));
-      auto it = grouped[e].find(kind_name);
-      if (it == grouped[e].end() || it->second.empty()) continue;
-      const ArmStats& stats = store.arms[{e, kind_name}];
+    for (const RequestArm& arm : store.entry_arms[e]) {
+      // Every considered arm gets its (possibly zero) row: the rows are
+      // part of the checkpoint bytes.
+      const ArmStats& stats = store.arms[{e, arm.kind}];
       ArmView view;
       view.attempts = stats.attempts;
       view.novel = stats.novel;
-      view.capacity = it->second.size();
+      view.capacity = arm.variants;
       if (cov && store.coverage_weighting) {
         // Static-analysis bias: productions this arm would touch that are
         // still uncovered, and unhit gap sites among those productions.
-        std::set<std::size_t> touchable;
-        for (const core::Mutant& m : it->second) {
-          for (std::size_t id : cov_ids_of(store.coverage, m)) {
-            touchable.insert(id);
-          }
-        }
         std::set<std::size_t> unhit_sites;
-        for (std::size_t id : touchable) {
+        for (std::size_t id : arm.cov_ids) {
           if (store.covered.count(id) == 0) ++view.uncovered;
           const auto sites = site_index.find(id);
           if (sites == site_index.end()) continue;
@@ -359,15 +384,25 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
         view.gap_hits = unhit_sites.size();
       }
       views.push_back(view);
-      arm_plans.push_back({e, kind_name, &it->second});
+      arm_plans.push_back({e, &arm});
     }
   }
   const std::vector<std::size_t> counts =
       allocate_budget(config.budget_per_round, views);
+  // Variants are rebuilt only for entries that received budget; arm_plans
+  // is entry-major, so each such entry is mutated once.
+  std::size_t grouped_entry = StateStore::npos;
+  std::map<std::string, std::vector<core::Mutant>> grouped;
   for (std::size_t a = 0; a < arm_plans.size(); ++a) {
     if (counts[a] == 0) continue;
-    ArmStats& stats = store.arms[{arm_plans[a].entry, arm_plans[a].kind}];
-    const auto& variants = *arm_plans[a].variants;
+    const std::size_t e = arm_plans[a].entry;
+    const std::string& kind = arm_plans[a].arm->kind;
+    if (e != grouped_entry) {
+      grouped = variants_by_kind(store.entries[e].spec, cov);
+      grouped_entry = e;
+    }
+    ArmStats& stats = store.arms[{e, kind}];
+    const std::vector<core::Mutant>& variants = grouped.at(kind);
     for (std::size_t j = 0; j < counts[a]; ++j) {
       const core::Mutant& mutant =
           variants[(stats.cursor + j) % variants.size()];
@@ -377,10 +412,9 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
       pc.tc.raw = mutant.spec.to_wire();
       pc.tc.description = mutant.applied.front().describe();
       pc.tc.origin = core::TestOrigin::kMutation;
-      pc.provenance = mutant_provenance(
-          store.entries[arm_plans[a].entry].hash, arm_plans[a].kind);
-      pc.arm_entry = arm_plans[a].entry;
-      pc.arm_kind = arm_plans[a].kind;
+      pc.provenance = mutant_provenance(store.entries[e].hash, kind);
+      pc.arm_entry = e;
+      pc.arm_kind = kind;
       pc.spec = mutant.spec;
       pc.spec_text = serialize_spec(mutant.spec);
       if (cov) {
@@ -418,55 +452,48 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
     // Divergence-feedback schedule over (stream entry x stream kind) arms,
     // using the same deterministic apportionment as the single-request
     // budget but over its own arm table and its own budget.
+    for (std::size_t e = store.stream_entry_arms.size();
+         e < store.stream_entries.size(); ++e) {
+      store.stream_entry_arms.push_back(
+          stream_arms_of(store.stream_entries[e].stream));
+    }
     struct StreamArmPlan {
       std::size_t entry;
-      std::string kind;
-      std::vector<stream::StreamMutant>* variants;
+      const StreamArm* arm;
     };
     std::vector<StreamArmPlan> sarm_plans;
     std::vector<ArmView> sviews;
-    std::vector<std::map<std::string, std::vector<stream::StreamMutant>>>
-        svariants;
-    svariants.reserve(store.stream_entries.size());
-    for (const auto& entry : store.stream_entries) {
-      svariants.push_back(stream_variants_by_kind(entry.stream));
-    }
     for (std::size_t e = 0; e < store.stream_entries.size(); ++e) {
-      for (stream::StreamMutationKind kind :
-           stream::all_stream_mutation_kinds()) {
-        const std::string kind_name(to_string(kind));
-        auto it = svariants[e].find(kind_name);
-        if (it == svariants[e].end() || it->second.empty()) continue;
-        const ArmStats& sstats = store.stream_arms[{e, kind_name}];
+      for (const StreamArm& arm : store.stream_entry_arms[e]) {
+        const ArmStats& sstats = store.stream_arms[{e, arm.kind}];
         ArmView view;
         view.attempts = sstats.attempts;
         view.novel = sstats.novel;
-        view.capacity = it->second.size();
+        view.capacity = arm.variants.size();
         sviews.push_back(view);
-        sarm_plans.push_back({e, kind_name, &it->second});
+        sarm_plans.push_back({e, &arm});
       }
     }
     const std::vector<std::size_t> scounts =
         allocate_budget(config.stream_budget_per_round, sviews);
     for (std::size_t a = 0; a < sarm_plans.size(); ++a) {
       if (scounts[a] == 0) continue;
-      ArmStats& sstats =
-          store.stream_arms[{sarm_plans[a].entry, sarm_plans[a].kind}];
-      const auto& variants = *sarm_plans[a].variants;
+      const std::size_t e = sarm_plans[a].entry;
+      const StreamArm& arm = *sarm_plans[a].arm;
+      ArmStats& sstats = store.stream_arms[{e, arm.kind}];
       for (std::size_t j = 0; j < scounts[a]; ++j) {
         const stream::StreamMutant& mutant =
-            variants[(sstats.cursor + j) % variants.size()];
+            arm.variants[(sstats.cursor + j) % arm.variants.size()];
         PlannedCase pc;
         pc.tc.uuid = "camp-r" + std::to_string(round) + "-" +
                      std::to_string(planned.size());
         pc.tc.raw = mutant.stream.to_wire();
         pc.tc.description = mutant.applied.describe();
         pc.tc.origin = core::TestOrigin::kMutation;
-        pc.provenance = stream_mutant_provenance(
-            store.stream_entries[sarm_plans[a].entry].hash,
-            sarm_plans[a].kind);
-        pc.arm_entry = sarm_plans[a].entry;
-        pc.arm_kind = sarm_plans[a].kind;
+        pc.provenance =
+            stream_mutant_provenance(store.stream_entries[e].hash, arm.kind);
+        pc.arm_entry = e;
+        pc.arm_kind = arm.kind;
         pc.is_stream = true;
         pc.stream = mutant.stream;
         pc.tc.stream = mutant.stream.wires();
@@ -488,6 +515,8 @@ void adopt_coverage(StateStore& store, const CampaignConfig& config) {
   store.coverage_weighting = config.coverage_weighting;
   store.covered = config.coverage.bootstrap_covered;
   store.gap_hits.clear();
+  // Arm tables built before the plan existed carry no production ids.
+  store.entry_arms.clear();
 }
 
 ExecutedRound execute_round(const CampaignConfig& config,

@@ -196,7 +196,12 @@ struct RoundPlan {
 /// Plan round `round` from the loaded checkpoint.  Round 0 is the bootstrap
 /// pass; later rounds replay the retry queue then spend the mutation
 /// budget.  Mutates `store` in memory (retry queue drained, arm cursors
-/// advanced) — nothing is published until commit_round.
+/// advanced) — nothing is published until commit_round.  Also extends the
+/// store's derived arm tables (StateStore::entry_arms/stream_entry_arms)
+/// to entries added since the last plan, and regenerates request variants
+/// only for entries whose arms receive budget: a round costs its new
+/// entries and its budgeted arms, not the whole corpus.  The plan is the
+/// same whether the tables are warm or rebuilt from a fresh load.
 RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
                      std::size_t round);
 

@@ -84,6 +84,17 @@ bool write_tmp_durable(const std::string& tmp, std::string_view content) {
   return written;
 }
 
+/// One finding's checkpoint line ("finding=...\n").
+std::string finding_state_line(const Finding& f) {
+  std::string out = "finding=" + std::to_string(f.round) + " " +
+                    f.fingerprint + " " + field_enc(f.detector) + " " +
+                    field_enc(f.provenance) + " " + field_enc(f.case_uuid) +
+                    " " + field_enc(f.description);
+  for (const auto& v : f.vector) out += " " + field_enc(v);
+  out += "\n";
+  return out;
+}
+
 }  // namespace
 
 bool write_file_atomic_durable(const std::string& path,
@@ -193,43 +204,47 @@ bool StateStore::init(const std::string& sig) {
 }
 
 std::size_t StateStore::add_entry(CorpusEntry entry) {
-  if (entry_hashes_.count(entry.hash)) {
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].hash == entry.hash) return i;
-    }
-  }
+  const auto [it, inserted] = entry_index_.emplace(entry.hash, entries.size());
+  if (!inserted) return it->second;
   staged_files_.push_back(
       {corpus_path(entry.hash), serialize_spec(entry.spec)});
-  entry_hashes_.insert(entry.hash);
   entries.push_back(std::move(entry));
   return entries.size() - 1;
 }
 
 bool StateStore::has_entry(const std::string& hash) const {
-  return entry_hashes_.count(hash) > 0;
+  return entry_index_.count(hash) > 0;
+}
+
+std::size_t StateStore::entry_index(const std::string& hash) const {
+  const auto it = entry_index_.find(hash);
+  return it == entry_index_.end() ? npos : it->second;
 }
 
 std::size_t StateStore::add_stream_entry(StreamEntry entry) {
-  if (stream_entry_hashes_.count(entry.hash)) {
-    for (std::size_t i = 0; i < stream_entries.size(); ++i) {
-      if (stream_entries[i].hash == entry.hash) return i;
-    }
-  }
+  const auto [it, inserted] =
+      stream_entry_index_.emplace(entry.hash, stream_entries.size());
+  if (!inserted) return it->second;
   staged_files_.push_back({stream_corpus_path(entry.hash),
                            stream::serialize_stream(entry.stream)});
-  stream_entry_hashes_.insert(entry.hash);
   stream_entries.push_back(std::move(entry));
   return stream_entries.size() - 1;
 }
 
 bool StateStore::has_stream_entry(const std::string& hash) const {
-  return stream_entry_hashes_.count(hash) > 0;
+  return stream_entry_index_.count(hash) > 0;
+}
+
+std::size_t StateStore::stream_entry_index(const std::string& hash) const {
+  const auto it = stream_entry_index_.find(hash);
+  return it == stream_entry_index_.end() ? npos : it->second;
 }
 
 void StateStore::add_finding(Finding f) {
   fingerprints_.insert(f.fingerprint);
   staged_findings_ += finding_jsonl(f);
   staged_findings_ += '\n';
+  finding_lines_ += finding_state_line(f);
   findings.push_back(std::move(f));
 }
 
@@ -293,14 +308,7 @@ std::string StateStore::render_state() const {
     out += "retry=" + field_enc(r.provenance) + " " + field_enc(r.raw) + " " +
            field_enc(r.spec_text) + " " + field_enc(r.description) + "\n";
   }
-  for (const auto& f : findings) {
-    out += "finding=" + std::to_string(f.round) + " " + f.fingerprint + " " +
-           field_enc(f.detector) + " " + field_enc(f.provenance) + " " +
-           field_enc(f.case_uuid) +
-           " " + field_enc(f.description);
-    for (const auto& v : f.vector) out += " " + field_enc(v);
-    out += "\n";
-  }
+  out += finding_lines_;
   return out;
 }
 
@@ -313,9 +321,12 @@ bool StateStore::parse_state(std::string_view text) {
   stream_arms.clear();
   retry_queue.clear();
   findings.clear();
-  entry_hashes_.clear();
-  stream_entry_hashes_.clear();
+  finding_lines_.clear();
+  entry_index_.clear();
+  stream_entry_index_.clear();
   fingerprints_.clear();
+  entry_arms.clear();
+  stream_entry_arms.clear();
   coverage = {};
   coverage_weighting = true;
   covered.clear();
@@ -408,7 +419,7 @@ bool StateStore::parse_state(std::string_view text) {
         error_ = "cannot load corpus entry " + corpus_path(e.hash);
         return false;
       }
-      entry_hashes_.insert(e.hash);
+      entry_index_.emplace(e.hash, entries.size());
       entries.push_back(std::move(e));
     } else if (key == "sentry") {
       auto tokens = split_fields(rest);
@@ -424,7 +435,7 @@ bool StateStore::parse_state(std::string_view text) {
         error_ = "cannot load stream entry " + stream_corpus_path(e.hash);
         return false;
       }
-      stream_entry_hashes_.insert(e.hash);
+      stream_entry_index_.emplace(e.hash, stream_entries.size());
       stream_entries.push_back(std::move(e));
     } else if (key == "arm" || key == "sarm") {
       auto tokens = split_fields(rest);
@@ -468,6 +479,10 @@ bool StateStore::parse_state(std::string_view text) {
         f.vector.push_back(std::move(component));
       }
       fingerprints_.insert(f.fingerprint);
+      // Kept verbatim: every checkpoint this store writes renders findings
+      // through finding_state_line, so the text is already canonical.
+      finding_lines_ += line;
+      finding_lines_ += '\n';
       findings.push_back(std::move(f));
     } else {
       error_ = "unknown state key: " + key;

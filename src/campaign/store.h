@@ -58,6 +58,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,7 @@
 #include "core/specwire.h"
 #include "http/serialize.h"
 #include "stream/model.h"
+#include "stream/mutate.h"
 
 namespace hdiff::campaign {
 
@@ -108,6 +110,24 @@ struct RetryEntry {
   std::string description;
 };
 
+/// One scheduler arm of a request corpus entry: a MutationKind that has
+/// variants for the entry's spec.  Derived from the spec, never serialized;
+/// the planner keeps the count (and the production ids the variants touch,
+/// when coverage is on) and rebuilds the variants themselves only for arms
+/// that receive budget.
+struct RequestArm {
+  std::string kind;                  ///< to_string(MutationKind)
+  std::size_t variants = 0;          ///< single-kind variants of the spec
+  std::vector<std::size_t> cov_ids;  ///< sorted production ids they touch
+};
+
+/// One scheduler arm of a stream corpus entry, with its grouped variants.
+/// Derived, never serialized.
+struct StreamArm {
+  std::string kind;  ///< to_string(StreamMutationKind)
+  std::vector<stream::StreamMutant> variants;
+};
+
 /// Divergence-feedback statistics for one scheduler arm (corpus entry x
 /// mutation kind); persisted so the schedule is a pure function of the
 /// checkpoint.
@@ -115,6 +135,8 @@ struct ArmStats {
   std::size_t attempts = 0;  ///< mutants of this arm actually observed
   std::size_t novel = 0;     ///< novel fingerprints those mutants produced
   std::size_t cursor = 0;    ///< next variant index (rotation)
+
+  friend bool operator==(const ArmStats&, const ArmStats&) = default;
 };
 
 // The line-based wire helpers (field encoding, spec serialization) moved
@@ -182,11 +204,16 @@ class StateStore {
   /// existing index for a duplicate hash.
   std::size_t add_entry(CorpusEntry entry);
   bool has_entry(const std::string& hash) const;
+  /// Index of the entry with content address `hash`, or npos.
+  std::size_t entry_index(const std::string& hash) const;
 
-  /// Stream-corpus counterpart of add_entry/has_entry (stages
+  /// Stream-corpus counterparts of add_entry/has_entry/entry_index (stages
   /// corpus/<hash>.stream; idempotent).
   std::size_t add_stream_entry(StreamEntry entry);
   bool has_stream_entry(const std::string& hash) const;
+  std::size_t stream_entry_index(const std::string& hash) const;
+
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   /// Record a finding and stage its findings.jsonl line.  commit_round
   /// appends the round's lines before the checkpoint rename; a crash in
@@ -238,6 +265,16 @@ class StateStore {
   std::map<std::size_t, std::size_t> gap_hits;   ///< site id -> hit count
   bool coverage_enabled() const { return coverage.enabled(); }
 
+  // ---- derived scheduler tables (never serialized; DESIGN.md §10) ----
+  /// Arm tables of a prefix of `entries` / `stream_entries`, index-aligned.
+  /// plan_round extends them to the whole corpus the first time it sees a
+  /// new entry, so a round costs what its new entries and budgeted arms
+  /// cost, not what the corpus holds.  parse_state drops both, and
+  /// adopt_coverage drops the request tables (their cov_ids depend on the
+  /// plan).
+  std::vector<std::vector<RequestArm>> entry_arms;
+  std::vector<std::vector<StreamArm>> stream_entry_arms;
+
   const std::string& state_dir() const { return dir_; }
   const std::string& error() const { return error_; }
 
@@ -255,6 +292,10 @@ class StateStore {
     std::string content;
   };
 
+  /// The checkpoint text.  The finding= lines are not re-encoded here:
+  /// add_finding and parse_state append each one once to finding_lines_,
+  /// and render_state concatenates that text (findings dominate the
+  /// checkpoint and only ever grow).
   std::string render_state() const;
   bool parse_state(std::string_view text);
   bool truncate_findings() const;
@@ -265,8 +306,9 @@ class StateStore {
   std::size_t io_jobs_ = 0;
   std::vector<StagedFile> staged_files_;
   std::string staged_findings_;  ///< jsonl lines of this round's findings
-  std::set<std::string> entry_hashes_;
-  std::set<std::string> stream_entry_hashes_;
+  std::string finding_lines_;    ///< checkpoint finding= lines, in order
+  std::unordered_map<std::string, std::size_t> entry_index_;
+  std::unordered_map<std::string, std::size_t> stream_entry_index_;
   std::set<std::string> fingerprints_;
 };
 

@@ -348,6 +348,119 @@ TEST_F(EngineTest, FaultedStreamCaseIsQuarantinedAndReplayedOnResume) {
   fs::remove_all(dir);
 }
 
+/// The planner's derived arm tables are a cache: a plan from a live store
+/// whose tables were built in earlier rounds must equal the plan from a
+/// fresh load of the same checkpoint, case for case and arm row for row.
+void expect_same_plan(const RoundPlan& warm, const StateStore& live,
+                      const RoundPlan& cold, const StateStore& fresh) {
+  EXPECT_EQ(warm.replayed, cold.replayed);
+  ASSERT_EQ(warm.cases.size(), cold.cases.size());
+  for (std::size_t i = 0; i < warm.cases.size(); ++i) {
+    const PlannedCase& w = warm.cases[i];
+    const PlannedCase& c = cold.cases[i];
+    EXPECT_EQ(w.tc.uuid, c.tc.uuid) << i;
+    EXPECT_EQ(w.tc.raw, c.tc.raw) << w.tc.uuid;
+    EXPECT_EQ(w.tc.stream, c.tc.stream) << w.tc.uuid;
+    EXPECT_EQ(w.spec_text, c.spec_text) << w.tc.uuid;
+    EXPECT_EQ(w.provenance, c.provenance) << w.tc.uuid;
+    EXPECT_EQ(w.arm_entry, c.arm_entry) << w.tc.uuid;
+    EXPECT_EQ(w.arm_kind, c.arm_kind) << w.tc.uuid;
+    EXPECT_EQ(w.cov_ids, c.cov_ids) << w.tc.uuid;
+    EXPECT_EQ(w.gap_ids, c.gap_ids) << w.tc.uuid;
+  }
+  EXPECT_EQ(live.arms, fresh.arms);
+  EXPECT_EQ(live.stream_arms, fresh.stream_arms);
+}
+
+TEST_F(EngineTest, WarmPlanEqualsColdPlanFromTheCheckpoint) {
+  const std::string dir = fresh_dir("warm-cold");
+  CampaignConfig config = make_stream_config(dir, 4, 2);
+  config.coverage = coverage_fixture();
+  config.executor.retry.attempts = 1;
+  StateStore store(dir);
+  ASSERT_TRUE(store.acquire_lock()) << store.error();
+  ASSERT_TRUE(store.init(campaign_config_sig(config))) << store.error();
+  register_seed_entries(store, config);
+  register_stream_seed_entries(store, config);
+  adopt_coverage(store, config);
+
+  const net::Chain chain = net::Chain::from_fleet(fleet_);
+  core::ObservationMemo memo;
+  net::VerdictCache verdicts;
+  // Round 2 runs against a fleet whose every model call faults, so round 3
+  // replays request and stream mutants whose arms are re-attributed.
+  net::FaultPlanConfig fault_config;
+  fault_config.rate = 1.0;
+  fault_config.max_faults_per_site = 0;  // persistent
+  fault_config.kinds = {net::FaultKind::kReset};
+  const auto faulty = net::wrap_fleet_with_faults(
+      fleet_, std::make_shared<net::FaultPlan>(fault_config));
+  const net::Chain faulty_chain = net::Chain::from_fleet(faulty);
+  constexpr std::size_t kFaultedRound = 2;
+
+  std::size_t attributed_replays = 0;
+  for (std::size_t round = 0; round <= config.rounds; ++round) {
+    RoundPlan plan = plan_round(store, config, round);
+    if (round > 0) {
+      StateStore fresh(dir);
+      ASSERT_TRUE(fresh.load_readonly()) << fresh.error();
+      const RoundPlan cold = plan_round(fresh, config, round);
+      expect_same_plan(plan, store, cold, fresh);
+    }
+    for (std::size_t i = 0; i < plan.replayed; ++i) {
+      attributed_replays += plan.cases[i].arm_entry != StateStore::npos;
+    }
+    const bool faulted = round == kFaultedRound;
+    core::ObservationMemo fault_memo;
+    net::VerdictCache fault_verdicts;
+    ExecutedRound executed =
+        faulted ? execute_round(config, faulty_chain, plan.cases,
+                                &fault_memo, &fault_verdicts)
+                : execute_round(config, chain, plan.cases, &memo, &verdicts);
+    integrate_round(store, config, round, plan.cases, executed.outcomes,
+                    chain, &memo, &verdicts);
+    if (faulted) EXPECT_EQ(store.retry_queue.size(), plan.cases.size());
+    ASSERT_TRUE(store.commit_round(round)) << store.error();
+  }
+  EXPECT_GT(attributed_replays, 0u);
+  // The live tables covered every entry the last plan saw; the last round's
+  // new entries wait for the next plan.
+  EXPECT_FALSE(store.entry_arms.empty());
+  EXPECT_FALSE(store.stream_entry_arms.empty());
+  EXPECT_LE(store.entry_arms.size(), store.entries.size());
+  fs::remove_all(dir);
+}
+
+TEST_F(EngineTest, AdoptCoverageDropsArmTablesBuiltWithoutIt) {
+  const std::string dir = fresh_dir("adopt-drops");
+  const CampaignConfig plain = make_config(dir, 2, 1);
+  CampaignConfig covered = plain;
+  covered.coverage = coverage_fixture();
+
+  StateStore store(dir);
+  register_seed_entries(store, plain);
+  plan_round(store, plain, 1);
+  ASSERT_EQ(store.entry_arms.size(), store.entries.size());
+  for (const auto& arms : store.entry_arms) {
+    for (const RequestArm& arm : arms) EXPECT_TRUE(arm.cov_ids.empty());
+  }
+  adopt_coverage(store, covered);
+  EXPECT_TRUE(store.entry_arms.empty());
+
+  // The rebuilt tables plan exactly what a store that never built tables
+  // without the coverage plan plans.
+  StateStore reference(fresh_dir("adopt-ref"));
+  register_seed_entries(reference, plain);
+  reference.arms = store.arms;
+  adopt_coverage(reference, covered);
+  const RoundPlan rebuilt = plan_round(store, covered, 2);
+  const RoundPlan cold = plan_round(reference, covered, 2);
+  expect_same_plan(rebuilt, store, cold, reference);
+  bool attributed = false;
+  for (const auto& pc : rebuilt.cases) attributed |= !pc.cov_ids.empty();
+  EXPECT_TRUE(attributed);
+}
+
 TEST_F(EngineTest, CoverageWeightedRunsAreByteIdenticalAcrossJobs) {
   const std::string dir1 = fresh_dir("cov-jobs1");
   const std::string dir8 = fresh_dir("cov-jobs8");

@@ -118,6 +118,8 @@ TEST(StoreTest, AddEntryIsIdempotentByHash) {
   EXPECT_EQ(first, again);
   EXPECT_EQ(store.entries.size(), 1u);
   EXPECT_TRUE(store.has_entry(entry.hash));
+  EXPECT_EQ(store.entry_index(entry.hash), first);
+  EXPECT_EQ(store.entry_index("0000000000000000"), StateStore::npos);
   // add_entry only stages the file; the round's commit writes it.
   EXPECT_FALSE(fs::exists(store.corpus_path(entry.hash)));
   ASSERT_TRUE(store.commit_round(0)) << store.error();
@@ -539,6 +541,37 @@ TEST(StoreTest, SecondWriterIsRefusedByTheLockFile) {
 
   first.release_lock();
   EXPECT_TRUE(second.acquire_lock()) << second.error();
+  fs::remove_all(dir);
+}
+
+TEST(StoreTest, ReloadedStreamCampaignRecommitsByteIdentically) {
+  // The checkpoint's finding= lines are cached text: add_finding renders
+  // them during the run, parse_state keeps them on load.  Re-committing
+  // the loaded image must reproduce the checkpoint byte for byte.
+  const std::string dir = fresh_dir("recommit");
+  CampaignConfig config;
+  config.state_dir = dir;
+  config.rounds = 2;
+  config.budget_per_round = 16;
+  config.minimize.max_steps = 64;
+  config.streams = true;
+  config.stream_budget_per_round = 12;
+  config.bootstrap = core::verification_probes();
+  if (config.bootstrap.size() > 12) config.bootstrap.resize(12);
+  const auto fleet = impls::make_all_implementations();
+  const CampaignReport report = CampaignEngine(config).run(fleet);
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  ASSERT_GT(report.total_findings, 0u);
+  ASSERT_GT(report.stream_entries, 0u);
+  const std::string committed = slurp(StateStore(dir).state_path());
+
+  StateStore loaded(dir);
+  ASSERT_TRUE(loaded.acquire_lock()) << loaded.error();
+  ASSERT_TRUE(loaded.load()) << loaded.error();
+  ASSERT_EQ(loaded.findings.size(), report.total_findings);
+  ASSERT_TRUE(loaded.commit_round(loaded.rounds_completed - 1))
+      << loaded.error();
+  EXPECT_EQ(slurp(loaded.state_path()), committed);
   fs::remove_all(dir);
 }
 

@@ -1878,6 +1878,14 @@ bool parse_round_shard(const char* spec, std::size_t* round,
 }
 
 int cmd_serve(int argc, char** argv) {
+  // Drain handler first: building the bootstrap corpus and the coverage
+  // plan below takes a while on slow (sanitized) builds, and a SIGTERM in
+  // that window must still drain — Runner::run creates the checkpoint
+  // before it checks the flag, so an early signal exits 0 with a loadable
+  // state dir.
+  g_serve_drain = 0;
+  std::signal(SIGTERM, serve_drain_handler);
+  std::signal(SIGINT, serve_drain_handler);
   hdiff::serve::ServeConfig config;
   bool mini = false;
   bool in_process = false;
@@ -1986,9 +1994,6 @@ int cmd_serve(int argc, char** argv) {
     config.campaign.obs.trace = &trace_sink;
   }
 
-  g_serve_drain = 0;
-  std::signal(SIGTERM, serve_drain_handler);
-  std::signal(SIGINT, serve_drain_handler);
   config.drain_flag = &g_serve_drain;
 
   auto fleet = hdiff::impls::make_all_implementations();
