@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <map>
+
+#include "core/record.h"
 
 namespace hdiff::analysis {
 namespace {
@@ -15,23 +16,9 @@ namespace {
 /// must commit to an interpretation early.
 constexpr std::size_t kDepthCap = 16;
 
-/// Local FNV-1a (analysis cannot use campaign::hex64 without inverting the
-/// layer dependency; the constants are the standard 64-bit FNV pair).
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+/// The hash state coverage_plan_sig starts from.  It is the FNV offset basis
+/// with its last digit missing, kept because checkpoints record the sig.
+constexpr std::uint64_t kPlanSigBasis = 1469598103934665603ULL;
 
 std::size_t site_rank(const std::bitset<256>& overlap, std::size_t depth,
                       bool leftmost) {
@@ -53,37 +40,19 @@ std::size_t CoveragePlan::id_of(std::string_view name) const {
 }
 
 std::string byte_class_hex(const std::bitset<256>& bits) {
-  std::string out;
-  out.reserve(64);
-  for (std::size_t byte = 0; byte < 32; ++byte) {
-    unsigned v = 0;
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      if (bits.test(byte * 8 + bit)) v |= 1U << bit;
-    }
-    char buf[3];
-    std::snprintf(buf, sizeof buf, "%02x", v);
-    out += buf;
+  std::string bytes(32, '\0');
+  for (std::size_t b = 0; b < 256; ++b) {
+    if (bits.test(b)) bytes[b / 8] = static_cast<char>(bytes[b / 8] | (1 << b % 8));
   }
-  return out;
+  return core::hex_encode(bytes);
 }
 
 bool parse_byte_class_hex(std::string_view hex, std::bitset<256>* out) {
-  if (hex.size() != 64) return false;
+  std::string bytes;
+  if (!core::hex_decode(hex, &bytes) || bytes.size() != 32) return false;
   out->reset();
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  for (std::size_t byte = 0; byte < 32; ++byte) {
-    const int hi = nibble(hex[byte * 2]);
-    const int lo = nibble(hex[byte * 2 + 1]);
-    if (hi < 0 || lo < 0) return false;
-    const unsigned v = static_cast<unsigned>(hi) << 4 | static_cast<unsigned>(lo);
-    for (std::size_t bit = 0; bit < 8; ++bit) {
-      if (v & (1U << bit)) out->set(byte * 8 + bit);
-    }
+  for (std::size_t b = 0; b < 256; ++b) {
+    if ((static_cast<unsigned char>(bytes[b / 8]) >> b % 8) & 1) out->set(b);
   }
   return true;
 }
@@ -109,7 +78,7 @@ std::string coverage_plan_sig(const CoveragePlan& plan) {
            s.kind + ":" + byte_class_hex(s.overlap);
     for (std::size_t a : s.related) acc += "," + std::to_string(a);
   }
-  return hex16(fnv1a64(acc));
+  return core::hex16(core::fnv1a64(acc, kPlanSigBasis));
 }
 
 CoveragePlan build_coverage_plan(const abnf::Grammar& grammar,

@@ -1,8 +1,8 @@
 #include "analysis/lint.h"
 
-#include <cstdio>
 #include <utility>
 
+#include "core/record.h"
 #include "report/json.h"
 #include "report/table.h"
 
@@ -191,13 +191,7 @@ std::string lint_json(const LintResult& result) {
     w.key("width").value(static_cast<std::uint64_t>(s.width));
     w.key("rank").value(static_cast<std::uint64_t>(s.rank));
     w.key("overlap").value(format_byte_class(s.overlap));
-    std::string witness_hex;
-    for (unsigned char c : s.witness) {
-      char buf[3];
-      std::snprintf(buf, sizeof buf, "%02x", c);
-      witness_hex += buf;
-    }
-    w.key("witness").value(witness_hex);
+    w.key("witness").value(core::hex_encode(s.witness));
     w.end_object();
   }
   w.end_array();

@@ -1,8 +1,8 @@
 #include "campaign/fingerprint.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <cstdio>
+
+#include "core/record.h"
 
 namespace hdiff::campaign {
 namespace {
@@ -71,17 +71,7 @@ std::vector<Signature> signatures_of(const core::DetectionResult& delta) {
 }
 
 std::string hex64(std::string_view bytes) {
-  // FNV-1a 64-bit; mirrors core::fnv1a64 but kept local so the campaign
-  // library's key format is frozen independently of executor internals.
-  std::uint64_t h = 14695981039346656037ull;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return std::string(buf, 16);
+  return core::hex16(core::fnv1a64(bytes));
 }
 
 std::string fingerprint(const Signature& sig, const std::string& provenance) {

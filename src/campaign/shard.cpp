@@ -1,28 +1,8 @@
 #include "campaign/shard.h"
 
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace hdiff::campaign {
-namespace {
-
-namespace fs = std::filesystem;
-
-std::size_t to_size(const std::string& s) {
-  return static_cast<std::size_t>(std::strtoull(s.c_str(), nullptr, 10));
-}
-
-std::uint64_t to_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
-}
-
-std::int64_t to_i64(const std::string& s) {
-  return std::strtoll(s.c_str(), nullptr, 10);
-}
-
-}  // namespace
 
 std::size_t shard_of(std::string_view raw, std::size_t shards) noexcept {
   if (shards <= 1) return 0;
@@ -102,123 +82,95 @@ std::string render_shard_result(const ShardResult& result) {
 
 bool parse_shard_result(std::string_view text, ShardResult* out) {
   *out = ShardResult{};
-  // The end marker's own newline is part of the format: without this, a
-  // result torn one byte short of complete would still parse.  With it,
-  // *every* proper prefix of a valid result is rejected.
-  if (text.empty() || text.back() != '\n') return false;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  if (!std::getline(in, line) || line != "hdiff-shard-result-v1") return false;
+  core::RecordReader r(text);
+  if (!r.header("hdiff-shard-result-v1") || r.record().size() != 0) {
+    return false;
+  }
   CaseOutcome* open_case = nullptr;
   std::size_t open_sigs = 0;
-  bool ended = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (ended) return false;  // bytes after the end marker
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string key = line.substr(0, eq);
-    const std::string rest = line.substr(eq + 1);
+  // The previous case got every signature line its case= line announced.
+  const auto case_closed = [&] {
+    return open_case == nullptr || open_case->signatures.size() == open_sigs;
+  };
+  while (r.next()) {
+    const core::Record& line = r.record();
+    const std::string_view key = line.key();
+    const std::size_t n = line.size();
+    bool ok = true;
     if (key == "round") {
-      out->round = to_size(rest);
+      ok = n == 1 && line.dec(0, &out->round);
     } else if (key == "shard") {
-      auto tokens = split_fields(rest);
-      if (tokens.size() != 2) return false;
-      out->shard = to_size(tokens[0]);
-      out->shards = to_size(tokens[1]);
+      ok = n == 2 && line.dec(0, &out->shard) && line.dec(1, &out->shards);
     } else if (key == "config_sig") {
-      out->config_sig = rest;
+      out->config_sig = line.value();
     } else if (key == "stats") {
-      auto tokens = split_fields(rest);
-      if (tokens.size() != 4) return false;
-      out->faulted_attempts = to_size(tokens[0]);
-      out->retry_attempts = to_size(tokens[1]);
-      out->recovered_cases = to_size(tokens[2]);
-      out->quarantined_cases = to_size(tokens[3]);
+      ok = n == 4 && line.dec(0, &out->faulted_attempts) &&
+           line.dec(1, &out->retry_attempts) &&
+           line.dec(2, &out->recovered_cases) &&
+           line.dec(3, &out->quarantined_cases);
     } else if (key == "mc") {
-      auto tokens = split_fields(rest);
-      std::string name;
-      if (tokens.size() != 2 || !field_dec(tokens[0], &name)) return false;
-      out->metrics.counters.emplace_back(std::move(name), to_u64(tokens[1]));
+      auto& [name, value] = out->metrics.counters.emplace_back();
+      ok = n == 2 && line.bytes(0, &name) && line.dec(1, &value);
     } else if (key == "mg") {
-      auto tokens = split_fields(rest);
-      std::string name;
-      if (tokens.size() != 2 || !field_dec(tokens[0], &name)) return false;
-      out->metrics.gauges.emplace_back(std::move(name), to_i64(tokens[1]));
+      auto& [name, value] = out->metrics.gauges.emplace_back();
+      ok = n == 2 && line.bytes(0, &name) && line.dec(1, &value);
     } else if (key == "mh") {
-      auto tokens = split_fields(rest);
-      obs::Registry::HistogramRow row;
-      if (tokens.size() < 4 || !field_dec(tokens[0], &row.name)) return false;
-      row.sum = to_u64(tokens[1]);
-      row.count = to_u64(tokens[2]);
-      const std::size_t nbounds = to_size(tokens[3]);
-      // nbounds bounds plus nbounds+1 bucket counts (overflow last).
-      if (tokens.size() != 4 + nbounds + nbounds + 1) return false;
-      for (std::size_t i = 0; i < nbounds; ++i) {
-        row.bounds.push_back(to_u64(tokens[4 + i]));
+      // <name> <sum> <count> <nbounds>, nbounds bounds, then nbounds+1
+      // bucket counts (overflow last).
+      obs::Registry::HistogramRow& row =
+          out->metrics.histograms.emplace_back();
+      std::size_t nbounds = 0;
+      ok = n >= 5 && (n - 5) % 2 == 0 && line.bytes(0, &row.name) &&
+           line.dec(1, &row.sum) && line.dec(2, &row.count) &&
+           line.dec(3, &nbounds) && nbounds == (n - 5) / 2;
+      for (std::size_t i = 4; ok && i < n; ++i) {
+        auto& into = i < 4 + nbounds ? row.bounds : row.buckets;
+        ok = line.dec(i, &into.emplace_back());
       }
-      for (std::size_t i = 0; i <= nbounds; ++i) {
-        row.buckets.push_back(to_u64(tokens[4 + nbounds + i]));
-      }
-      out->metrics.histograms.push_back(std::move(row));
     } else if (key == "tpid") {
-      out->trace_pid = static_cast<std::uint32_t>(to_u64(rest));
+      ok = n == 1 && line.dec(0, &out->trace_pid);
     } else if (key == "tev") {
-      auto tokens = split_fields(rest);
-      if (tokens.size() != 8 || tokens[0].size() != 1) return false;
-      obs::TraceEvent e;
-      e.ph = tokens[0][0];
-      e.tid = static_cast<std::uint32_t>(to_u64(tokens[1]));
-      e.ts = to_u64(tokens[2]);
-      e.dur = to_u64(tokens[3]);
-      if (!field_dec(tokens[4], &e.name) || !field_dec(tokens[5], &e.cat) ||
-          !field_dec(tokens[6], &e.arg_key) ||
-          !field_dec(tokens[7], &e.arg_value)) {
-        return false;
-      }
-      out->trace.push_back(std::move(e));
+      obs::TraceEvent& e = out->trace.emplace_back();
+      ok = n == 8 && line.field(0).size() == 1 && line.dec(1, &e.tid) &&
+           line.dec(2, &e.ts) && line.dec(3, &e.dur) &&
+           line.bytes(4, &e.name) && line.bytes(5, &e.cat) &&
+           line.bytes(6, &e.arg_key) && line.bytes(7, &e.arg_value);
+      if (ok) e.ph = line.field(0)[0];
     } else if (key == "case") {
-      if (open_case != nullptr && open_sigs != open_case->signatures.size())
-        return false;  // previous case's signature lines went missing
-      auto tokens = split_fields(rest);
-      if (tokens.size() != 3) return false;
-      const std::size_t index = to_size(tokens[0]);
-      if (out->outcomes.count(index)) return false;
+      std::size_t index = 0;
       CaseOutcome oc;
       oc.executed = true;
-      oc.quarantined = tokens[1] == "1";
-      open_sigs = to_size(tokens[2]);
-      open_case = &out->outcomes.emplace(index, std::move(oc)).first->second;
+      ok = case_closed() && n == 3 && line.dec(0, &index) &&
+           !out->outcomes.count(index) && line.flag(1, &oc.quarantined) &&
+           line.dec(2, &open_sigs);
+      if (ok) open_case = &out->outcomes.emplace(index, oc).first->second;
     } else if (key == "sig") {
-      if (open_case == nullptr ||
-          open_case->signatures.size() >= open_sigs)
-        return false;
-      auto tokens = split_fields(rest);
-      if (tokens.empty()) return false;
-      Signature sig;
-      if (!field_dec(tokens[0], &sig.detector)) return false;
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        std::string component;
-        if (!field_dec(tokens[i], &component)) return false;
-        sig.vector.push_back(std::move(component));
+      ok = open_case != nullptr && open_case->signatures.size() < open_sigs &&
+           n >= 1;
+      if (ok) {
+        Signature& sig = open_case->signatures.emplace_back();
+        ok = line.bytes(0, &sig.detector);
+        for (std::size_t i = 1; ok && i < n; ++i) {
+          ok = line.bytes(i, &sig.vector.emplace_back());
+        }
       }
-      open_case->signatures.push_back(std::move(sig));
     } else if (key == "end") {
-      if (open_case != nullptr && open_sigs != open_case->signatures.size())
-        return false;
-      if (to_size(rest) != out->outcomes.size()) return false;
-      ended = true;
+      // Explicit end marker: the last line, counting every case.
+      std::size_t cases = 0;
+      return case_closed() && n == 1 && line.dec(0, &cases) &&
+             cases == out->outcomes.size() && r.done();
     } else {
-      return false;
+      ok = false;
     }
+    if (!ok) return false;
   }
-  return ended;
+  return false;  // torn or malformed before the end marker
 }
 
 bool write_shard_result(const std::string& state_dir,
                         const ShardResult& result) {
   std::error_code ec;
-  fs::create_directories(state_dir + "/shards", ec);
+  std::filesystem::create_directories(state_dir + "/shards", ec);
   if (ec) return false;
   return write_file_atomic_durable(
       shard_result_path(state_dir, result.round, result.shard),
@@ -228,12 +180,11 @@ bool write_shard_result(const std::string& state_dir,
 bool load_shard_result(const std::string& state_dir, std::size_t round,
                        std::size_t shard, std::size_t shards,
                        const std::string& config_sig, ShardResult* out) {
-  std::ifstream in(shard_result_path(state_dir, round, shard),
-                   std::ios::binary);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  if (!parse_shard_result(buffer.str(), out)) return false;
+  std::string text;
+  if (!core::read_file(shard_result_path(state_dir, round, shard), &text) ||
+      !parse_shard_result(text, out)) {
+    return false;
+  }
   return out->round == round && out->shard == shard &&
          out->shards == shards && out->config_sig == config_sig;
 }

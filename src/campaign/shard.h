@@ -69,9 +69,19 @@ struct ShardResult {
 std::string shard_result_path(const std::string& state_dir, std::size_t round,
                               std::size_t shard);
 
-/// Serialize / parse the result file (line-based, hex payload fields like
-/// the checkpoint).  `parse_shard_result` returns false on any malformed or
-/// torn content.
+/// Serialize / parse the result file, a durable record (core/record.h)
+/// with header `hdiff-shard-result-v1` and keys (<b> = field_enc bytes):
+///
+///   round=<r>  shard=<k> <shards>  config_sig=<sig>
+///   stats=<faulted> <retries> <recovered> <quarantined>
+///   mc=<b:name> <value>  mg=<b:name> <signed value>
+///   mh=<b:name> <sum> <count> <nbounds> <bound>... <bucket>...  (nbounds+1)
+///   tpid=<pid>  tev=<ph> <tid> <ts> <dur> <b:name> <b:cat> <b:key> <b:value>
+///   case=<index> <quarantined> <nsigs>, then nsigs sig=<b:detector> <b>...
+///   end=<number of case lines>
+///
+/// The end line is the last: `parse_shard_result` rejects any malformed or
+/// torn content, every proper prefix of a rendered result included.
 std::string render_shard_result(const ShardResult& result);
 bool parse_shard_result(std::string_view text, ShardResult* out);
 

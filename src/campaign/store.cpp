@@ -8,11 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "campaign/fingerprint.h"
@@ -24,22 +21,6 @@ namespace hdiff::campaign {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-bool write_file(const std::string& path, std::string_view content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  return static_cast<bool>(out);
-}
 
 /// write(2) the whole buffer, surviving EINTR and short writes.
 bool write_all(int fd, std::string_view content) {
@@ -65,10 +46,6 @@ bool fsync_parent_dir(const std::string& path) {
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
   return ok;
-}
-
-std::size_t to_size(const std::string& s) {
-  return static_cast<std::size_t>(std::strtoull(s.c_str(), nullptr, 10));
 }
 
 /// Write `content` to `tmp` and fsync it.  The tmp bytes must be on disk
@@ -192,7 +169,7 @@ bool StateStore::init(const std::string& sig) {
   }
   config_sig = sig;
   rounds_completed = 0;
-  if (!write_file(findings_path(), "")) {
+  if (!write_file_atomic_durable(findings_path(), "")) {
     error_ = "cannot create " + findings_path();
     return false;
   }
@@ -331,163 +308,125 @@ bool StateStore::parse_state(std::string_view text) {
   coverage_weighting = true;
   covered.clear();
   gap_hits.clear();
-  std::istringstream in{std::string(text)};
-  std::string line;
-  if (!std::getline(in, line) || line != "hdiff-campaign-state-v1") {
+  core::RecordReader r(text);
+  if (!r.header("hdiff-campaign-state-v1") || r.record().size() != 0) {
     error_ = "bad state header in " + state_path();
     return false;
   }
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      error_ = "bad state line: " + line;
-      return false;
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string rest = line.substr(eq + 1);
+  while (r.next()) {
+    const core::Record& line = r.record();
+    const std::string_view key = line.key();
+    const std::size_t n = line.size();
+    bool ok = true;
     if (key == "config_sig") {
-      config_sig = rest;
+      config_sig = line.value();
     } else if (key == "rounds_completed") {
-      rounds_completed = to_size(rest);
+      ok = n == 1 && line.dec(0, &rounds_completed);
     } else if (key == "covsig") {
-      coverage.sig = rest;
+      coverage.sig = line.value();
     } else if (key == "covweight") {
-      coverage_weighting = rest != "0";
+      ok = n == 1 && line.flag(0, &coverage_weighting);
     } else if (key == "covprod") {
-      auto tokens = split_fields(rest);
-      if (tokens.size() != 3) {
-        error_ = "bad covprod line: " + line;
-        return false;
-      }
-      coverage.productions.push_back(
-          {tokens[2], to_size(tokens[0]), tokens[1] != "0"});
+      analysis::CoverageProduction p;
+      ok = n == 3 && line.dec(0, &p.depth) && line.flag(1, &p.leftmost);
+      p.name = line.field(2);
+      coverage.productions.push_back(std::move(p));
     } else if (key == "covsite") {
-      auto tokens = split_fields(rest);
+      // Production ids, owner and attribution cone alike, must name a
+      // covprod line above.
+      const std::size_t prods = coverage.productions.size();
+      const std::string_view kind = line.field(3);
       analysis::GapSite site;
-      if (tokens.size() < 6 || tokens[3].size() != 1 ||
-          !analysis::parse_byte_class_hex(tokens[4], &site.overlap)) {
-        error_ = "bad covsite line: " + line;
-        return false;
-      }
-      site.id = coverage.sites.size();
-      site.production = to_size(tokens[0]);
-      if (site.production >= coverage.productions.size()) {
-        error_ = "covsite references unknown production: " + line;
-        return false;
-      }
-      site.rule = coverage.productions[site.production].name;
-      site.alt_a = to_size(tokens[1]);
-      site.alt_b = to_size(tokens[2]);
-      site.kind = tokens[3][0];
-      site.width = site.overlap.count();
-      site.rank = to_size(tokens[5]);
-      site.witness = analysis::witness_bytes(site.overlap);
-      for (std::size_t i = 6; i < tokens.size(); ++i) {
-        const std::size_t a = to_size(tokens[i]);
-        if (a >= coverage.productions.size()) {
-          error_ = "covsite related-production out of range: " + line;
-          return false;
-        }
+      ok = n >= 6 && line.dec(0, &site.production) &&
+           site.production < prods && line.dec(1, &site.alt_a) &&
+           line.dec(2, &site.alt_b) && kind.size() == 1 &&
+           analysis::parse_byte_class_hex(line.field(4), &site.overlap) &&
+           line.dec(5, &site.rank);
+      for (std::size_t i = 6; ok && i < n; ++i) {
+        std::size_t a = 0;
+        ok = line.dec(i, &a) && a < prods;
         site.related.push_back(a);
       }
-      coverage.sites.push_back(std::move(site));
-    } else if (key == "covboot") {
-      for (const auto& t : split_fields(rest)) {
-        coverage.bootstrap_covered.insert(to_size(t));
+      if (ok) {
+        site.id = coverage.sites.size();
+        site.rule = coverage.productions[site.production].name;
+        site.kind = kind[0];
+        site.width = site.overlap.count();
+        site.witness = analysis::witness_bytes(site.overlap);
+        coverage.sites.push_back(std::move(site));
       }
-    } else if (key == "covered") {
-      for (const auto& t : split_fields(rest)) covered.insert(to_size(t));
+    } else if (key == "covboot" || key == "covered") {
+      std::set<std::size_t>& ids =
+          key == "covboot" ? coverage.bootstrap_covered : covered;
+      for (std::size_t i = 0; ok && i < n; ++i) {
+        std::size_t id = 0;
+        ok = line.dec(i, &id) && ids.insert(id).second;
+      }
     } else if (key == "gaphit") {
-      auto tokens = split_fields(rest);
-      if (tokens.size() != 2) {
-        error_ = "bad gaphit line: " + line;
-        return false;
-      }
-      gap_hits[to_size(tokens[0])] = to_size(tokens[1]);
+      std::size_t id = 0;
+      ok = n == 2 && line.dec(0, &id) && line.dec(1, &gap_hits[id]);
     } else if (key == "entry") {
-      auto tokens = split_fields(rest);
       CorpusEntry e;
-      if (tokens.size() != 2 || !field_dec(tokens[1], &e.provenance)) {
-        error_ = "bad entry line: " + line;
-        return false;
-      }
-      e.hash = tokens[0];
+      ok = n == 2 && line.bytes(1, &e.provenance);
+      e.hash = line.field(0);
       std::string spec_text;
-      if (!read_file(corpus_path(e.hash), &spec_text) ||
-          !deserialize_spec(spec_text, &e.spec)) {
+      if (ok && (!core::read_file(corpus_path(e.hash), &spec_text) ||
+                 !deserialize_spec(spec_text, &e.spec))) {
         error_ = "cannot load corpus entry " + corpus_path(e.hash);
         return false;
       }
       entry_index_.emplace(e.hash, entries.size());
       entries.push_back(std::move(e));
     } else if (key == "sentry") {
-      auto tokens = split_fields(rest);
       StreamEntry e;
-      if (tokens.size() != 2 || !field_dec(tokens[1], &e.provenance)) {
-        error_ = "bad sentry line: " + line;
-        return false;
-      }
-      e.hash = tokens[0];
+      ok = n == 2 && line.bytes(1, &e.provenance);
+      e.hash = line.field(0);
       std::string stream_text;
-      if (!read_file(stream_corpus_path(e.hash), &stream_text) ||
-          !stream::deserialize_stream(stream_text, &e.stream)) {
+      if (ok && (!core::read_file(stream_corpus_path(e.hash), &stream_text) ||
+                 !stream::deserialize_stream(stream_text, &e.stream))) {
         error_ = "cannot load stream entry " + stream_corpus_path(e.hash);
         return false;
       }
       stream_entry_index_.emplace(e.hash, stream_entries.size());
       stream_entries.push_back(std::move(e));
     } else if (key == "arm" || key == "sarm") {
-      auto tokens = split_fields(rest);
-      if (tokens.size() != 5) {
-        error_ = "bad " + key + " line: " + line;
-        return false;
-      }
+      std::size_t entry = 0;
       ArmStats stats;
-      stats.attempts = to_size(tokens[2]);
-      stats.novel = to_size(tokens[3]);
-      stats.cursor = to_size(tokens[4]);
+      ok = n == 5 && line.dec(0, &entry) && line.dec(2, &stats.attempts) &&
+           line.dec(3, &stats.novel) && line.dec(4, &stats.cursor);
       auto& table = key == "arm" ? arms : stream_arms;
-      table[{to_size(tokens[0]), tokens[1]}] = stats;
+      table[{entry, std::string(line.field(1))}] = stats;
     } else if (key == "retry") {
-      auto tokens = split_fields(rest);
-      RetryEntry r;
-      if (tokens.size() != 4 || !field_dec(tokens[0], &r.provenance) ||
-          !field_dec(tokens[1], &r.raw) || !field_dec(tokens[2], &r.spec_text) ||
-          !field_dec(tokens[3], &r.description)) {
-        error_ = "bad retry line: " + line;
-        return false;
-      }
-      retry_queue.push_back(std::move(r));
+      RetryEntry e;
+      ok = n == 4 && line.bytes(0, &e.provenance) && line.bytes(1, &e.raw) &&
+           line.bytes(2, &e.spec_text) && line.bytes(3, &e.description);
+      retry_queue.push_back(std::move(e));
     } else if (key == "finding") {
-      auto tokens = split_fields(rest);
       Finding f;
-      if (tokens.size() < 6 || !field_dec(tokens[2], &f.detector) ||
-          !field_dec(tokens[3], &f.provenance) || !field_dec(tokens[4], &f.case_uuid) ||
-          !field_dec(tokens[5], &f.description)) {
-        error_ = "bad finding line: " + line;
-        return false;
-      }
-      f.round = to_size(tokens[0]);
-      f.fingerprint = tokens[1];
-      for (std::size_t i = 6; i < tokens.size(); ++i) {
-        std::string component;
-        if (!field_dec(tokens[i], &component)) {
-          error_ = "bad finding line: " + line;
-          return false;
-        }
-        f.vector.push_back(std::move(component));
+      ok = n >= 6 && line.dec(0, &f.round) && line.bytes(2, &f.detector) &&
+           line.bytes(3, &f.provenance) && line.bytes(4, &f.case_uuid) &&
+           line.bytes(5, &f.description);
+      f.fingerprint = line.field(1);
+      for (std::size_t i = 6; ok && i < n; ++i) {
+        ok = line.bytes(i, &f.vector.emplace_back());
       }
       fingerprints_.insert(f.fingerprint);
       // Kept verbatim: every checkpoint this store writes renders findings
       // through finding_state_line, so the text is already canonical.
-      finding_lines_ += line;
+      finding_lines_ += line.text();
       finding_lines_ += '\n';
       findings.push_back(std::move(f));
     } else {
-      error_ = "unknown state key: " + key;
+      ok = false;
+    }
+    if (!ok) {
+      error_ = "bad state line: " + std::string(line.text());
       return false;
     }
+  }
+  if (!r.ok()) {
+    error_ = "malformed line in " + state_path();
+    return false;
   }
   return true;
 }
@@ -507,7 +446,7 @@ bool StateStore::truncate_findings() const {
 
 bool StateStore::load() {
   std::string text;
-  if (!read_file(state_path(), &text)) {
+  if (!core::read_file(state_path(), &text)) {
     error_ = "cannot read " + state_path();
     return false;
   }
@@ -521,7 +460,7 @@ bool StateStore::load() {
 
 bool StateStore::load_readonly() {
   std::string text;
-  if (!read_file(state_path(), &text)) {
+  if (!core::read_file(state_path(), &text)) {
     error_ = "cannot read " + state_path();
     return false;
   }

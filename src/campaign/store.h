@@ -33,9 +33,21 @@
 //                                 a structured refusal instead of corrupting
 //                                 the append-only artifact.
 //
-// Everything is line-based text with hex-encoded payload fields (reusing
-// core::hex_encode), so specs with NUL/CTL bytes survive and the files diff
-// cleanly under version control.
+// campaign.state, *.case (spec-v1) and *.stream (hdiff-stream-v1) are
+// durable records (core/record.h holds the shared framing).  The
+// checkpoint's header is `hdiff-campaign-state-v1`; its keys, in render
+// order (<b> = field_enc bytes, <n> = decimal):
+//
+//   config_sig=<sig>  rounds_completed=<n>
+//   covsig=<sig>  covweight=<0|1>  covprod=<depth> <leftmost> <name>
+//   covsite=<prod> <alt_a> <alt_b> <kind> <64-hex class> <rank> <related>...
+//   covboot=<id>...  covered=<id>...  gaphit=<site> <hits>
+//                                     (coverage block: only with a plan)
+//   entry=<hash> <b:prov>  sentry=<hash> <b:prov>
+//   arm=<entry> <kind> <attempts> <novel> <cursor>  (sarm= for streams)
+//   retry=<b:prov> <b:raw> <b:spec_text> <b:description>
+//   finding=<round> <fingerprint> <b:detector> <b:prov> <b:case_uuid>
+//           <b:description> <b:component>...
 //
 // Durability (group commit): add_entry/add_stream_entry/add_finding only
 // stage their bytes in memory; commit_round publishes a whole round at once.
@@ -63,7 +75,7 @@
 #include <vector>
 
 #include "analysis/coverage.h"
-#include "core/specwire.h"
+#include "core/record.h"
 #include "http/serialize.h"
 #include "stream/model.h"
 #include "stream/mutate.h"
@@ -139,14 +151,13 @@ struct ArmStats {
   friend bool operator==(const ArmStats&, const ArmStats&) = default;
 };
 
-// The line-based wire helpers (field encoding, spec serialization) moved
-// down to core/specwire.h so src/stream can use them without a dependency
-// cycle; the campaign names stay valid for every existing call site.
+// The durable-record codec (field encoding, spec serialization) lives in
+// core/record.h, below src/stream; the campaign names stay valid for every
+// existing call site.
 using core::deserialize_spec;
 using core::field_dec;
 using core::field_enc;
 using core::serialize_spec;
-using core::split_fields;
 
 /// Content address: fingerprint-format hash of `serialize_spec(spec)`.
 /// Keyed on the serialized spec rather than the wire bytes so two specs

@@ -9,15 +9,6 @@
 
 namespace hdiff::core {
 
-std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  std::uint64_t hash = 14695981039346656037ull;  // FNV offset basis
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;  // FNV prime
-  }
-  return hash;
-}
-
 namespace {
 
 /// Memo key of a stream case: every message length-prefixed, so the key

@@ -52,15 +52,13 @@
 #include <vector>
 
 #include "core/detect.h"
+#include "core/record.h"
 #include "core/stream_detect.h"
 #include "core/testcase.h"
 #include "net/chain.h"
 #include "obs/obs.h"
 
 namespace hdiff::core {
-
-/// FNV-1a over the raw bytes; the memo's default hash.
-std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
 /// Cross-case observation cache keyed by raw request bytes.  A hash picks
 /// the bucket; entries within a bucket are confirmed by full-byte

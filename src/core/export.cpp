@@ -8,37 +8,6 @@ namespace hdiff::core {
 
 using report::JsonWriter;
 
-std::string hex_encode(std::string_view bytes) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (char c : bytes) {
-    unsigned char u = static_cast<unsigned char>(c);
-    out.push_back(kHex[u >> 4]);
-    out.push_back(kHex[u & 0xF]);
-  }
-  return out;
-}
-
-bool hex_decode(std::string_view hex, std::string* out) {
-  if (hex.size() % 2 != 0 || !out) return false;
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  out->clear();
-  out->reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    int hi = nibble(hex[i]);
-    int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return false;
-    out->push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return true;
-}
-
 namespace {
 
 void write_test_case(JsonWriter& w, const TestCase& tc) {
@@ -143,24 +112,14 @@ class FlatScanner {
           case 'r': out->push_back('\r'); break;
           case 't': out->push_back('\t'); break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            unsigned value = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              value <<= 4;
-              if (h >= '0' && h <= '9') {
-                value |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                value |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                value |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
             // This exporter only emits \u00XX for control bytes.
-            if (value > 0xFF) return false;
-            out->push_back(static_cast<char>(value));
+            std::string code;
+            if (!hex_decode(text_.substr(pos_, 4), &code) ||
+                code.size() != 2 || code[0] != '\0') {
+              return false;
+            }
+            out->push_back(code[1]);
+            pos_ += 4;
             break;
           }
           default:
@@ -248,7 +207,9 @@ bool import_test_cases_json(std::string_view json,
         } else if (field == "assert_status") {
           has_assertion = true;
           if (!field_value.empty()) {
-            assertion.expect_status = std::stoi(field_value);
+            int status = 0;
+            if (!parse_dec(field_value, &status)) return false;
+            assertion.expect_status = status;
           }
         } else if (field == "assert_reject") {
           has_assertion = true;

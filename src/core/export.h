@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/hdiff.h"
+#include "core/record.h"  // hex_encode / hex_decode for the corpus round-trip
 
 namespace hdiff::core {
 
@@ -35,9 +36,5 @@ std::string export_test_cases_json(const std::vector<TestCase>& cases);
 /// Returns false on malformed input (partial results are discarded).
 bool import_test_cases_json(std::string_view json,
                             std::vector<TestCase>* out);
-
-/// Hex helpers used by the corpus round-trip.
-std::string hex_encode(std::string_view bytes);
-bool hex_decode(std::string_view hex, std::string* out);
 
 }  // namespace hdiff::core

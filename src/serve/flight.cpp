@@ -1,10 +1,9 @@
 #include "serve/flight.h"
 
-#include <cstdlib>
 #include <filesystem>
-#include <sstream>
 
 #include "campaign/store.h"
+#include "core/record.h"
 #include "report/json.h"
 
 namespace hdiff::serve {
@@ -15,39 +14,36 @@ std::string index_token(std::size_t v) {
   return v == FlightEvent::kNone ? "-" : std::to_string(v);
 }
 
-bool parse_index(const std::string& token, std::size_t* out) {
-  if (token == "-") {
-    *out = FlightEvent::kNone;
-    return true;
-  }
-  *out = static_cast<std::size_t>(std::strtoull(token.c_str(), nullptr, 10));
+/// A round/shard field: "-" for kNone, else a decimal index.
+bool index_field(const core::Record& line, std::size_t i, std::size_t* out) {
+  if (line.field(i) != "-") return line.dec(i, out);
+  *out = FlightEvent::kNone;
   return true;
+}
+
+/// The event on one `ev=` line; seq 0 is reserved.
+bool event_of(const core::Record& line, FlightEvent* out) {
+  *out = FlightEvent{};
+  return line.key() == "ev" && line.size() == 6 && line.dec(0, &out->seq) &&
+         out->seq != 0 && line.dec(1, &out->ts_ms) &&
+         line.bytes(2, &out->kind) && index_field(line, 3, &out->round) &&
+         index_field(line, 4, &out->shard) && line.bytes(5, &out->detail);
 }
 
 }  // namespace
 
 std::string render_flight_event(const FlightEvent& event) {
   return "ev=" + std::to_string(event.seq) + " " +
-         std::to_string(event.ts_ms) + " " + campaign::field_enc(event.kind) +
+         std::to_string(event.ts_ms) + " " + core::field_enc(event.kind) +
          " " + index_token(event.round) + " " + index_token(event.shard) +
-         " " + campaign::field_enc(event.detail);
+         " " + core::field_enc(event.detail);
 }
 
 bool parse_flight_event(std::string_view line, FlightEvent* out) {
+  core::Record record;
+  if (record.parse(line)) return event_of(record, out);
   *out = FlightEvent{};
-  constexpr std::string_view kPrefix = "ev=";
-  if (line.substr(0, kPrefix.size()) != kPrefix) return false;
-  const std::vector<std::string> tokens =
-      campaign::split_fields(line.substr(kPrefix.size()));
-  if (tokens.size() != 6) return false;
-  out->seq = std::strtoull(tokens[0].c_str(), nullptr, 10);
-  out->ts_ms = std::strtoull(tokens[1].c_str(), nullptr, 10);
-  if (out->seq == 0) return false;
-  if (!campaign::field_dec(tokens[2], &out->kind)) return false;
-  if (!parse_index(tokens[3], &out->round)) return false;
-  if (!parse_index(tokens[4], &out->shard)) return false;
-  if (!campaign::field_dec(tokens[5], &out->detail)) return false;
-  return true;
+  return false;
 }
 
 FlightRecorder::FlightRecorder(std::string state_dir, const obs::Clock* clock,
@@ -61,28 +57,28 @@ std::string FlightRecorder::path(const std::string& state_dir) {
 }
 
 void FlightRecorder::load() {
-  std::ifstream in(path(state_dir_), std::ios::binary);
-  if (in) {
-    std::string line;
-    std::size_t file_lines = 0;
-    while (std::getline(in, line)) {
-      ++file_lines;
-      FlightEvent event;
-      if (!parse_flight_event(line, &event)) continue;  // torn tail / noise
-      if (event.seq >= next_seq_) next_seq_ = event.seq + 1;
-      ring_.push_back(std::move(event));
-      if (ring_.size() > capacity_) ring_.pop_front();
+  std::string text;
+  if (!core::read_file(path(state_dir_), &text)) return;
+  // Headerless and append-only: a line torn by a crash (no final '\n', or
+  // run into by the next generation's first append) is skipped, not fatal.
+  core::RecordReader r(text);
+  std::size_t file_lines = 0;
+  while (!r.done()) {
+    ++file_lines;
+    FlightEvent event;
+    if (!r.next() || !event_of(r.record(), &event)) continue;
+    if (event.seq >= next_seq_) next_seq_ = event.seq + 1;
+    ring_.push_back(std::move(event));
+    if (ring_.size() > capacity_) ring_.pop_front();
+  }
+  // Restart churn grows the file unboundedly while the ring stays capped;
+  // rewrite it from the ring once it is several rings deep.
+  if (file_lines > 4 * capacity_) {
+    std::string compact;
+    for (const FlightEvent& event : ring_) {
+      compact += render_flight_event(event) + "\n";
     }
-    in.close();
-    // Restart churn grows the file unboundedly while the ring stays
-    // capped; rewrite it from the ring once it is several rings deep.
-    if (file_lines > 4 * capacity_) {
-      std::string compact;
-      for (const FlightEvent& event : ring_) {
-        compact += render_flight_event(event) + "\n";
-      }
-      campaign::write_file_atomic_durable(path(state_dir_), compact);
-    }
+    campaign::write_file_atomic_durable(path(state_dir_), compact);
   }
 }
 

@@ -85,8 +85,9 @@ class FlightRecorder {
   std::ofstream out_;
 };
 
-/// One line of the persisted format: `ev=<seq> <ts_ms> <kind-enc> <round|->
-/// <shard|-> <detail-enc>`.  Exposed for tests.
+/// One line of the persisted format, a headerless durable record
+/// (core/record.h): `ev=<seq> <ts_ms> <kind-enc> <round|-> <shard|->
+/// <detail-enc>`.  Exposed for tests.
 std::string render_flight_event(const FlightEvent& event);
 bool parse_flight_event(std::string_view line, FlightEvent* out);
 

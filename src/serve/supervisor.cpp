@@ -8,8 +8,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -17,9 +15,11 @@
 
 #include "campaign/shard.h"
 #include "campaign/store.h"
+#include "core/record.h"
 #include "net/chain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "report/json.h"
 #include "serve/flight.h"
 #include "serve/worker.h"
 
@@ -31,29 +31,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// One worker slot (one shard) of the executing round.
 struct Slot {
@@ -249,7 +226,12 @@ net::ControlResponse Runner::handle(const net::ControlRequest& rq) {
     std::uint64_t since = 0;
     const std::size_t q = rq.target.find("since=");
     if (q != std::string::npos) {
-      since = std::strtoull(rq.target.c_str() + q + 6, nullptr, 10);
+      const std::string_view value = std::string_view(rq.target).substr(q + 6);
+      if (!core::parse_dec(value.substr(0, value.find('&')), &since)) {
+        response.status = 400;
+        response.body = "since wants a decimal sequence number\n";
+        return response;
+      }
     }
     response.content_type = "application/json";
     response.body = flight_.events_json(since);
@@ -277,7 +259,7 @@ net::ControlResponse Runner::handle(const net::ControlRequest& rq) {
 
 std::string Runner::status_json() const {
   std::string out = "{";
-  out += "\"campaign\":\"" + json_escape(config_.campaign_id) + "\",";
+  out += "\"campaign\":" + report::json_string(config_.campaign_id) + ",";
   out += std::string("\"state\":\"") +
          (drain_requested() ? "draining" : "running") + "\",";
   out += "\"degraded\":" + std::string(degraded() ? "true" : "false") + ",";

@@ -2,12 +2,12 @@
 
 #include <utility>
 
-#include "core/specwire.h"
+#include "core/record.h"
 
 namespace hdiff::stream {
 
 namespace {
-constexpr std::string_view kHeader = "hdiff-stream-v1 ";
+constexpr std::string_view kName = "hdiff-stream-v1";
 constexpr std::string_view kEnd = "end-stream";
 }  // namespace
 
@@ -25,7 +25,8 @@ std::vector<std::string> RequestStream::wires() const {
 }
 
 std::string serialize_stream(const RequestStream& stream) {
-  std::string out(kHeader);
+  std::string out(kName);
+  out += ' ';
   out += std::to_string(stream.messages.size());
   out += "\n";
   for (const auto& m : stream.messages) {
@@ -38,47 +39,29 @@ std::string serialize_stream(const RequestStream& stream) {
 
 bool deserialize_stream(std::string_view text, RequestStream* out) {
   *out = RequestStream{};
-  // Manual line splitting (not getline) so a missing trailing newline — the
-  // signature of a truncated file — is detectable: the final byte of a
-  // valid serialization is always '\n'.
-  if (text.empty() || text.back() != '\n') return false;
-  std::vector<std::string_view> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      lines.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  if (lines.size() < 2) return false;
-  const std::string_view header = lines.front();
-  if (header.substr(0, kHeader.size()) != kHeader) return false;
-  const std::string_view count_text = header.substr(kHeader.size());
-  if (count_text.empty()) return false;
+  core::RecordReader r(text);
   std::size_t count = 0;
-  for (char c : count_text) {
-    if (c < '0' || c > '9') return false;
-    count = count * 10 + static_cast<std::size_t>(c - '0');
+  if (!r.header(kName) || r.record().size() != 1 || !r.record().dec(0, &count)) {
+    return false;
   }
-  // Exactly: header, `count` msg lines, end marker.  Fewer lines is a
-  // prefix; more is trailing garbage; both fail.
-  if (lines.size() != count + 2) return false;
-  if (lines.back() != kEnd) return false;
-  out->messages.reserve(count);
-  for (std::size_t i = 1; i <= count; ++i) {
-    const std::string_view line = lines[i];
-    if (line.substr(0, 4) != "msg=") return false;
-    std::string spec_text;
-    if (!core::field_dec(line.substr(4), &spec_text)) return false;
+  // Exactly `count` msg lines, then the end marker as the last line: fewer
+  // lines is a prefix, more is trailing garbage, and both fail.
+  std::string spec_text;
+  for (std::size_t i = 0; i < count; ++i) {
     http::RequestSpec spec;
-    if (!core::deserialize_spec(spec_text, &spec)) return false;
+    if (!r.next() || r.record().key() != "msg" || r.record().size() != 1 ||
+        !r.record().bytes(0, &spec_text) ||
+        !core::deserialize_spec(spec_text, &spec)) {
+      return false;
+    }
     out->messages.push_back(std::move(spec));
   }
-  return true;
+  return r.end(kEnd);
 }
 
 bool is_stream_text(std::string_view text) {
-  return text.substr(0, kHeader.size()) == kHeader;
+  return text.substr(0, kName.size()) == kName &&
+         text.substr(kName.size(), 1) == " ";
 }
 
 RequestStream make_stream(std::vector<http::RequestSpec> messages) {

@@ -7,11 +7,12 @@
 // stream mutators can splice, reorder, duplicate and drop messages in later
 // rounds.
 //
-// Serialization discipline matches the shard-result files: a versioned
-// header carrying the message count, one line per message, an explicit end
-// marker, and a required trailing newline.  `deserialize_stream` verifies
-// all three, so *every proper prefix of a valid serialization is rejected*
-// — a torn corpus file can never load as a shorter-but-valid stream.
+// The serialized form is a durable record (core/record.h): the header
+// `hdiff-stream-v1 <count>`, `count` lines `msg=<field_enc(serialize_spec)>`,
+// and the end marker `end-stream` as the last line.  `deserialize_stream`
+// checks the count and the end marker, so *every proper prefix of a valid
+// serialization is rejected* — a torn corpus file can never load as a
+// shorter-but-valid stream.
 #pragma once
 
 #include <cstddef>

@@ -221,16 +221,28 @@ TEST(ShardResult, ObsSectionsAreOptionalAndOldFilesStillParse) {
 }
 
 TEST(ShardResult, EveryTruncationIsRejected) {
-  const std::string full = campaign::render_shard_result(sample_result());
-  ShardResult out;
-  ASSERT_TRUE(campaign::parse_shard_result(full, &out));
-  // A durable rename makes torn *files* impossible, but a stray partial
-  // write must still never parse: chop at every byte boundary.
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    EXPECT_FALSE(
-        campaign::parse_shard_result(full.substr(0, len), &out))
-        << "prefix of " << len << " bytes parsed as a complete result";
+  // With and without the optional observability sections, and with no
+  // cases at all (the end line right after the header block).
+  ShardResult plain;
+  plain.config_sig = "s";
+  for (const ShardResult& result : {sample_result(), plain}) {
+    const std::string full = campaign::render_shard_result(result);
+    ShardResult out;
+    ASSERT_TRUE(campaign::parse_shard_result(full, &out));
+    // A durable rename makes torn *files* impossible, but a stray partial
+    // write must still never parse: chop at every byte boundary, and never
+    // let a chopped line pass for the end marker by re-terminating it.
+    for (std::size_t len = 0; len < full.size(); ++len) {
+      const std::string prefix = full.substr(0, len);
+      EXPECT_FALSE(campaign::parse_shard_result(prefix, &out))
+          << "prefix of " << len << " bytes parsed as a complete result";
+      if (len + 1 < full.size() && full[len] != '\n') {
+        EXPECT_FALSE(campaign::parse_shard_result(prefix + "\n", &out))
+            << "re-terminated prefix of " << len << " bytes parsed";
+      }
+    }
   }
+  ShardResult out;
   EXPECT_FALSE(campaign::parse_shard_result("", &out));
   EXPECT_FALSE(campaign::parse_shard_result("garbage\n", &out));
 }
@@ -581,6 +593,38 @@ TEST(Supervisor, MergedMetricTotalsAreShardCountInvariant) {
 
   fs::remove_all(dir_a);
   fs::remove_all(dir_b);
+}
+
+TEST(Supervisor, EventsQueryRejectsAMalformedSince) {
+  // `since` is external input: anything but a decimal seq is a 400, not a
+  // silent since=0.
+  const auto fleet = impls::make_all_implementations();
+  const std::string dir = fresh_dir("events-since");
+  ServeConfig config;
+  config.campaign = small_campaign(dir);
+  config.campaign.rounds = 1000;  // runs until stopped below
+  config.shards = 1;
+  Supervisor supervisor(config, fleet);
+  const std::uint16_t port = supervisor.port();
+  std::thread runner([&] { supervisor.run(); });
+  const auto status_of = [&](const std::string& method,
+                             const std::string& target) {
+    const std::string request = method + " " + target +
+                                " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                                "Content-Length: 0\r\n\r\n";
+    // The control plane is pumped between rounds; wait it out.
+    const net::TcpResult result = net::tcp_roundtrip(port, request, 10000);
+    return result.bytes.size() < 12 ? 0 : std::stoi(result.bytes.substr(9, 3));
+  };
+  EXPECT_EQ(status_of("GET", "/events?since=abc"), 400);
+  EXPECT_EQ(status_of("GET", "/events?since=-1"), 400);
+  EXPECT_EQ(status_of("GET", "/events?since=18446744073709551616"), 400);
+  EXPECT_EQ(status_of("GET", "/events?since="), 400);
+  EXPECT_EQ(status_of("GET", "/events?since=0"), 200);
+  EXPECT_EQ(status_of("GET", "/events"), 200);
+  EXPECT_EQ(status_of("POST", "/campaigns/default/stop"), 202);
+  runner.join();
+  fs::remove_all(dir);
 }
 
 TEST(Supervisor, FlightRecorderPersistsTheRunLifecycle) {

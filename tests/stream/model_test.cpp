@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/specwire.h"
+#include "core/record.h"
 #include "stream/seeds.h"
 
 namespace hdiff::stream {
@@ -35,13 +35,24 @@ TEST(StreamModel, SerializeRoundTripsEverySeed) {
 
 TEST(StreamModel, EveryProperPrefixIsRejected) {
   // The torn-file guarantee: a truncated corpus file can never load as a
-  // shorter-but-valid stream.
+  // shorter-but-valid stream — for every seed, the empty stream, and a
+  // prefix re-terminated with the newline it lost.
+  std::vector<std::pair<std::string, RequestStream>> streams = {
+      {"empty", RequestStream{}}, {"two-gets", two_gets()}};
   for (const auto& seed : default_stream_seeds()) {
-    const std::string text = serialize_stream(seed.stream);
+    streams.emplace_back(seed.name, seed.stream);
+  }
+  for (const auto& [name, stream] : streams) {
+    const std::string text = serialize_stream(stream);
+    RequestStream parsed;
+    ASSERT_TRUE(deserialize_stream(text, &parsed)) << name;
     for (std::size_t len = 0; len < text.size(); ++len) {
-      RequestStream parsed;
       EXPECT_FALSE(deserialize_stream(text.substr(0, len), &parsed))
-          << seed.name << " prefix of length " << len << " parsed";
+          << name << " prefix of length " << len << " parsed";
+      if (len + 1 < text.size() && text[len] != '\n') {
+        EXPECT_FALSE(deserialize_stream(text.substr(0, len) + "\n", &parsed))
+            << name << " re-terminated prefix of length " << len << " parsed";
+      }
     }
   }
 }

@@ -234,6 +234,13 @@ std::vector<std::string_view> doc_args(int argc, char** argv, int from) {
   return docs;
 }
 
+/// The file's bytes, or "" when it cannot be read.
+std::string read_bytes(const std::string& path) {
+  std::string out;
+  if (!hdiff::core::read_file(path, &out)) out.clear();
+  return out;
+}
+
 bool write_file(const std::string& path, std::string_view content) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
@@ -386,11 +393,10 @@ int cmd_run(int argc, char** argv) {
   if (!corpus_path.empty()) {
     // Replay a saved corpus instead of regenerating (§V: "we can reuse the
     // test cases for discovering vulnerabilities in more implementations").
-    std::ifstream in(corpus_path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
+    std::string text;
     std::vector<hdiff::core::TestCase> cases;
-    if (!in || !hdiff::core::import_test_cases_json(buffer.str(), &cases)) {
+    if (!hdiff::core::read_file(corpus_path, &text) ||
+        !hdiff::core::import_test_cases_json(text, &cases)) {
       std::fprintf(stderr, "cannot read corpus %s\n", corpus_path.c_str());
       return 1;
     }
@@ -1461,10 +1467,7 @@ std::string corpus_image(const std::string& state_dir) {
   }
   std::string image;
   for (const auto& name : names) {
-    std::ifstream in(state_dir + "/corpus/" + name, std::ios::binary);
-    std::stringstream bytes;
-    bytes << in.rdbuf();
-    image += name + '\0' + bytes.str() + '\0';
+    image += name + '\0' + read_bytes(state_dir + "/corpus/" + name) + '\0';
   }
   return image;
 }
@@ -1501,12 +1504,6 @@ int selftest_campaign(std::size_t jobs) {
     // schedule too.
     config.coverage = campaign_coverage_plan(false);
     return config;
-  };
-  auto read_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
   };
 
   auto fleet = hdiff::impls::make_all_implementations();
@@ -1657,12 +1654,6 @@ int selftest_stream(std::size_t jobs) {
     config.coverage = campaign_coverage_plan(false);
     config.streams = true;
     return config;
-  };
-  auto read_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
   };
 
   auto fleet = hdiff::impls::make_all_implementations();
@@ -2234,12 +2225,6 @@ int selftest_serve(std::size_t jobs) {
     // coverage-weighted schedule matches the single-process reference.
     config.coverage = campaign_coverage_plan(false);
     return config;
-  };
-  auto read_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
   };
   auto compare_dirs = [&](const std::string& ref_dir,
                           const std::string& got_dir, const char* what) {
