@@ -7,13 +7,11 @@
 #include "core/analyzer.h"
 #include "core/executor.h"
 #include "core/hdiff.h"
-#include "core/probes.h"
 #include "corpus/registry.h"
 #include "http/lexer.h"
 #include "http/view.h"
 #include "impls/products.h"
 #include "net/chain.h"
-#include "net/live.h"
 #include "text/dependency.h"
 #include "text/sentiment.h"
 
@@ -109,55 +107,6 @@ BENCHMARK(BM_DifferentialEngine)
     ->Args({8, 1})
     ->Args({8, 0})
     ->UseRealTime()  // count worker threads' time; CPU time only sees main
-    ->Unit(benchmark::kMillisecond);
-
-/// Live observe throughput through the executor's batch seam: blocking
-/// per-leg transport vs. the epoll event loop (DESIGN.md §11).  Args are
-/// {loop, jobs, service_delay_ms}; 2 ms of simulated upstream service time
-/// puts the harness in the latency-bound regime the loop targets, where
-/// /1/8/2 must sustain >= 2x the cases/s of /0/8/2 (EXPERIMENTS.md E14).
-void BM_LiveObserve(benchmark::State& state) {
-  auto fleet = hdiff::impls::make_all_implementations();
-  std::vector<const hdiff::impls::HttpImplementation*> backends;
-  for (const auto& impl : fleet) {
-    if (impl->is_server()) backends.push_back(impl.get());
-  }
-  hdiff::net::LiveFleetConfig live_config;
-  live_config.mode = state.range(0) != 0 ? hdiff::net::NetLoopMode::kOn
-                                         : hdiff::net::NetLoopMode::kOff;
-  live_config.server_concurrency = 8;
-  live_config.service_delay_ms = static_cast<int>(state.range(2));
-  hdiff::net::LiveFleet live(backends, live_config);
-
-  const std::vector<hdiff::core::TestCase> cases =
-      hdiff::core::verification_probes();
-  hdiff::core::ExecutorConfig config;
-  config.jobs = static_cast<std::size_t>(state.range(1));
-  config.memoize = false;  // every case takes a real roundtrip
-  config.batch_size = 16;
-  config.observe_batch = [&live](const hdiff::core::TestCase* block,
-                                 std::size_t n,
-                                 std::vector<hdiff::net::ChainObservation>&
-                                     out) {
-    std::vector<hdiff::net::LiveCase> batch;
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.push_back(hdiff::net::LiveCase{block[i].uuid, block[i].raw});
-    }
-    out = live.observe_batch(batch);
-  };
-  const hdiff::net::Chain chain({}, {}, {});
-  for (auto _ : state) {
-    hdiff::core::ParallelExecutor executor(config);
-    benchmark::DoNotOptimize(executor.run(chain, cases));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(cases.size()));
-}
-BENCHMARK(BM_LiveObserve)
-    ->Args({0, 8, 2})  // blocking transport at jobs=8: the E14 baseline
-    ->Args({1, 8, 2})  // event loop at jobs=8: >= 2x the baseline
-    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_AbnfExtract(benchmark::State& state) {

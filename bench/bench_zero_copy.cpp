@@ -1,14 +1,10 @@
-// E14: zero-copy parse path + event-loop observe throughput.
+// E14: zero-copy parse path.
 //
-// Two claims are measured here:
-//   1. A warmed RequestView / ResponseView / ChunkScan re-parses with ZERO
-//      heap allocations (0 allocations per header), vs. the owned lexer
-//      which allocates per header field.  `--check` runs this as a strict
-//      pass/fail gate (the `bench_zero_copy_alloc_check` ctest entry, label
-//      `netperf`) so an allocation regression fails CI, not just a chart.
-//   2. Live observation through the epoll event loop sustains >=2x the
-//      case throughput of the blocking per-leg transport at jobs=8
-//      (BM_LiveObserve/0/8 vs BM_LiveObserve/1/8).
+// A warmed RequestView / ResponseView / ChunkScan re-parses with ZERO heap
+// allocations (0 allocations per header), vs. the owned lexer which
+// allocates per header field.  `--check` runs this as a strict pass/fail
+// gate (the `bench_zero_copy_alloc_check` ctest entry, label `netperf`) so
+// an allocation regression fails CI, not just a chart.
 //
 // Allocation counting replaces global operator new/delete for this binary
 // only: every successful allocation bumps one relaxed atomic, and checks
@@ -23,17 +19,11 @@
 #include <new>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "core/executor.h"
-#include "core/probes.h"
 #include "http/chunked.h"
 #include "http/lexer.h"
 #include "http/response.h"
 #include "http/view.h"
-#include "impls/products.h"
-#include "net/chain.h"
-#include "net/live.h"
 
 namespace {
 
@@ -298,66 +288,6 @@ void BM_DecodeChunked(benchmark::State& state) {
   report_allocs_per_op(state, allocations() - before);
 }
 BENCHMARK(BM_DecodeChunked);
-
-// ---------------------------------------------------------------------------
-// Live observe throughput: blocking per-leg transport vs. the event loop.
-// Args are {loop, jobs, service_delay_ms}.  delay=0 is the in-process
-// instant-answer regime (CPU-bound: the loop is expected to be at parity,
-// not faster); delay=2 simulates 2ms of upstream service/network time per
-// request — the latency-bound regime the loop exists for, and where the
-// E14 claim (/1/8/2 >= 2x /0/8/2 throughput) is measured.
-// ---------------------------------------------------------------------------
-
-void BM_LiveObserve(benchmark::State& state) {
-  const bool loop = state.range(0) != 0;
-  auto fleet = hdiff::impls::make_all_implementations();
-  std::vector<const hdiff::impls::HttpImplementation*> backends;
-  for (const auto& impl : fleet) {
-    if (impl->is_server()) backends.push_back(impl.get());
-  }
-  hdiff::net::LiveFleetConfig live_config;
-  live_config.mode =
-      loop ? hdiff::net::NetLoopMode::kOn : hdiff::net::NetLoopMode::kOff;
-  live_config.server_concurrency = 8;
-  live_config.service_delay_ms = static_cast<int>(state.range(2));
-  hdiff::net::LiveFleet live(backends, live_config);
-
-  const std::vector<hdiff::core::TestCase> cases =
-      hdiff::core::verification_probes();
-  hdiff::core::ExecutorConfig config;
-  config.jobs = static_cast<std::size_t>(state.range(1));
-  config.memoize = false;  // every case takes a real roundtrip
-  config.batch_size = 16;
-  config.observe_batch = [&live](const hdiff::core::TestCase* block,
-                                 std::size_t n,
-                                 std::vector<hdiff::net::ChainObservation>&
-                                     out) {
-    std::vector<hdiff::net::LiveCase> batch;
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.push_back(hdiff::net::LiveCase{block[i].uuid, block[i].raw});
-    }
-    out = live.observe_batch(batch);
-  };
-  const hdiff::net::Chain chain({}, {}, {});
-  for (auto _ : state) {
-    hdiff::core::ParallelExecutor executor(config);
-    benchmark::DoNotOptimize(executor.run(chain, cases));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(cases.size()));
-  state.counters["cases"] = static_cast<double>(cases.size());
-  state.counters["backends"] = static_cast<double>(backends.size());
-}
-BENCHMARK(BM_LiveObserve)
-    ->Args({0, 8, 0})  // blocking, jobs=8, instant servers (CPU-bound)
-    ->Args({1, 8, 0})  // loop, jobs=8, instant servers: parity expected
-    ->Args({0, 1, 2})  // blocking, serial, 2ms service time
-    ->Args({1, 1, 2})  // loop overlaps all legs even on one worker
-    ->Args({0, 8, 2})  // blocking, jobs=8, 2ms: the E14 baseline
-    ->Args({1, 8, 2})  // loop, jobs=8, 2ms: the E14 claim (>=2x vs /0/8/2)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

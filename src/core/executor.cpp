@@ -226,8 +226,8 @@ DetectionResult ParallelExecutor::run(const net::Chain& chain,
   // evaluated, and a case that faults through its whole retry budget is
   // quarantined (empty delta, `status.quarantined` set).
   const auto observe_and_evaluate =
-      [&](const TestCase& tc, net::EchoServer& echo, CaseStatus& status,
-          net::ChainObservation* prefetched) -> DetectionResult {
+      [&](const TestCase& tc, net::EchoServer& echo,
+          CaseStatus& status) -> DetectionResult {
     if (tc.is_stream()) return observe_and_evaluate_stream(tc, status);
     if (memo_p) {
       // Only successful observations are ever inserted, so a hit is a
@@ -241,36 +241,11 @@ DetectionResult ParallelExecutor::run(const net::Chain& chain,
         return engine.evaluate(tc, *cached);
       }
     }
-    std::optional<net::ChainObservation> obs = observe_with_retry(
-        tc, status, [&](int attempt) -> net::ChainObservation {
-          if (prefetched && attempt == 0) {
-            // First attempt of a batched case: the block observation was
-            // already driven by the hook when the worker claimed the block.
-            return std::move(*prefetched);
-          }
-          if (config_.observe_batch) {
-            // Retry (or a case the hook under-delivered): re-observe just
-            // this case through the same transport.
-            std::vector<net::ChainObservation> one;
-            config_.observe_batch(&tc, 1, one);
-            if (!one.empty()) return std::move(one.front());
-            net::ChainObservation missing;
-            missing.uuid = tc.uuid;
-            missing.request = tc.raw;
-            missing.fault = net::ChainError::kConnectFail;
-            missing.fault_detail = "observe_batch produced no observation";
-            return missing;
-          }
+    std::optional<net::ChainObservation> obs =
+        observe_with_retry(tc, status, [&](int) {
           return chain.observe(tc.uuid, tc.raw, &echo, verdicts_p, track);
         });
     if (!obs) return DetectionResult{};
-    if (config_.observe_batch) {
-      // chain.observe records forwards itself; a hook-produced observation
-      // flushes them here so the echo log stays faithful.
-      for (const auto& [proxy, v] : obs->proxies) {
-        if (v.forwarded()) echo.record(tc.uuid, proxy, v.forwarded_bytes);
-      }
-    }
     if (memo_p) {
       return engine.evaluate(tc, *memo_p->insert(tc.raw, std::move(*obs)));
     }
@@ -280,13 +255,11 @@ DetectionResult ParallelExecutor::run(const net::Chain& chain,
   // Timing wrapper: one "case" span and one latency sample per test case.
   // With obs disabled this is a transparent pass-through.
   const auto evaluate_case =
-      [&](const TestCase& tc, net::EchoServer& echo, CaseStatus& status,
-          net::ChainObservation* prefetched = nullptr) -> DetectionResult {
-    if (!trace && !case_us) {
-      return observe_and_evaluate(tc, echo, status, prefetched);
-    }
+      [&](const TestCase& tc, net::EchoServer& echo,
+          CaseStatus& status) -> DetectionResult {
+    if (!trace && !case_us) return observe_and_evaluate(tc, echo, status);
     const std::uint64_t c0 = clock.now_us();
-    DetectionResult delta = observe_and_evaluate(tc, echo, status, prefetched);
+    DetectionResult delta = observe_and_evaluate(tc, echo, status);
     const std::uint64_t c1 = clock.now_us();
     if (case_us) case_us->observe(c1 - c0);
     if (trace) trace->complete("case", "executor", c0, c1 - c0, "uuid", tc.uuid);
@@ -344,36 +317,17 @@ DetectionResult ParallelExecutor::run(const net::Chain& chain,
     if (stats) *stats = std::move(local);
   };
 
-  // Scheduling granularity: without the batch hook every claim is a single
-  // case (bitwise the historical behaviour); with it, workers claim
-  // contiguous blocks so the hook can drive a whole block concurrently.
-  const std::size_t block_size =
-      config_.observe_batch ? std::max<std::size_t>(1, config_.batch_size) : 1;
-
   if (jobs <= 1) {
     // Serial path: with memoization off this is exactly the seed's loop in
     // `Pipeline::run` — same calls, same order, no pool.
     net::EchoServer echo(config_.echo_max_records);
-    std::vector<net::ChainObservation> block_obs;
-    for (std::size_t base = 0; base < cases.size(); base += block_size) {
-      const std::size_t n = std::min(block_size, cases.size() - base);
-      if (config_.observe_batch) {
-        block_obs.clear();
-        config_.observe_batch(&cases[base], n, block_obs);
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t i = base + j;
-        const TestCase& tc = cases[i];
-        CaseStatus status;
-        net::ChainObservation* pre =
-            j < block_obs.size() ? &block_obs[j] : nullptr;
-        DetectionResult delta = evaluate_case(tc, echo, status, pre);
-        if (config_.on_delta) {
-          config_.on_delta(i, tc, delta, status.quarantined);
-        }
-        DetectionEngine::accumulate(total, delta);
-        fold_status(tc, status);
-      }
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const TestCase& tc = cases[i];
+      CaseStatus status;
+      DetectionResult delta = evaluate_case(tc, echo, status);
+      if (config_.on_delta) config_.on_delta(i, tc, delta, status.quarantined);
+      DetectionEngine::accumulate(total, delta);
+      fold_status(tc, status);
     }
     finish(echo.log().size(), echo.dropped());
     return total;
@@ -398,22 +352,10 @@ DetectionResult ParallelExecutor::run(const net::Chain& chain,
   for (std::size_t w = 0; w < jobs; ++w) {
     workers.emplace_back([&, w] {
       net::EchoServer& echo = *echoes[w];
-      std::vector<net::ChainObservation> block_obs;
       for (;;) {
-        const std::size_t base =
-            next.fetch_add(block_size, std::memory_order_relaxed);
-        if (base >= cases.size()) break;
-        const std::size_t n = std::min(block_size, cases.size() - base);
-        if (config_.observe_batch) {
-          block_obs.clear();
-          config_.observe_batch(&cases[base], n, block_obs);
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          const std::size_t i = base + j;
-          net::ChainObservation* pre =
-              j < block_obs.size() ? &block_obs[j] : nullptr;
-          deltas[i] = evaluate_case(cases[i], echo, statuses[i], pre);
-        }
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= cases.size()) break;
+        deltas[i] = evaluate_case(cases[i], echo, statuses[i]);
       }
     });
   }

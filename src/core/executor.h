@@ -174,23 +174,6 @@ struct ExecutorConfig {
   /// observation would.
   ObservationMemo* shared_memo = nullptr;
   net::VerdictCache* shared_verdicts = nullptr;
-  // ---- batch observation hook (live fleets over the event loop) ----
-  /// When set, observations come from this hook instead of `chain.observe`:
-  /// workers claim contiguous blocks of up to `batch_size` case indices and
-  /// call the hook once per block, so a live transport (net::LiveFleet over
-  /// net::EventLoop) can drive the whole block's roundtrips concurrently
-  /// from one worker thread.  The hook appends one ChainObservation per
-  /// block case to `out` (`out[k]` for `block[k]`); a case whose first
-  /// observation faults is retried through the hook with n=1 under exactly
-  /// the retry/quarantine semantics of the chain path.  Memoization, the
-  /// per-case spans and the deterministic case-index merge are unchanged —
-  /// batching only overlaps the waiting.  (A block case that turns out to
-  /// be a memo hit discards its prefetched observation; stream cases
-  /// always observe through Chain::observe_stream.)
-  std::size_t batch_size = 16;
-  std::function<void(const TestCase* block, std::size_t n,
-                     std::vector<net::ChainObservation>& out)>
-      observe_batch;
   /// Per-case delta tap, invoked once per test case in stable case-index
   /// order (after the workers joined, during the deterministic merge), with
   /// the case's own `DetectionResult` delta *before* accumulation dedup.

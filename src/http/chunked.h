@@ -60,7 +60,7 @@ ChunkResult decode_chunked(std::string_view in, const ChunkPolicy& policy);
 /// ranges into the scanned input instead of a concatenated string, and the
 /// error is a view of a static literal.  `decode_chunked` is a materializing
 /// wrapper over `scan_chunked`; hot paths (response framing on views, the
-/// event-loop stream prober) consume the scan directly.  A reused ChunkScan
+/// client's response-completeness probe) consume the scan directly.  A reused ChunkScan
 /// re-scans with zero allocations once its vectors have warmed up.
 struct ChunkScan {
   bool ok = false;

@@ -18,6 +18,13 @@ namespace hdiff::net {
 
 namespace {
 
+/// How a client read loop stopped.
+enum class StreamEnd {
+  kIdle,   ///< idle timeout
+  kClose,  ///< orderly peer close
+  kError,  ///< recv error (reset)
+};
+
 struct ReadOutcome {
   std::string bytes;
   StreamEnd end = StreamEnd::kIdle;
@@ -119,8 +126,10 @@ void abort_connection(int fd) {
   ::close(fd);
 }
 
-}  // namespace
-
+/// Classify how a client exchange ended, given the accumulated response
+/// bytes, the request that was sent (for HEAD framing) and how the stream
+/// stopped.  Allocation-free: the request method is sniffed from the
+/// request line and the response completeness is probed on views.
 ChainError classify_exchange(std::string_view bytes, std::string_view request,
                              StreamEnd end) noexcept {
   if (bytes.empty()) {
@@ -151,8 +160,6 @@ ChainError classify_exchange(std::string_view bytes, std::string_view request,
   }
   return ChainError::kMalformed;  // unreachable
 }
-
-namespace {
 
 /// One bind+listen attempt on 127.0.0.1:`port` (0 = ephemeral).  Returns
 /// the listening fd and the bound port, or -1 with `*bind_errno` set.
@@ -286,27 +293,18 @@ TcpResult tcp_roundtrip_retry(std::uint16_t port, std::string_view request,
 // ---------------------------------------------------------------------------
 
 ModelServer::ModelServer(const impls::HttpImplementation& impl,
-                         obs::Observability obs, int concurrency,
-                         int service_delay_ms)
+                         obs::Observability obs)
     : impl_(impl),
       obs_(obs),
       requests_(obs.metrics
                     ? &obs.metrics->counter("hdiff_server_requests_total")
                     : nullptr),
-      service_delay_ms_(service_delay_ms) {
-  if (concurrency < 1) concurrency = 1;
-  threads_.reserve(static_cast<std::size_t>(concurrency));
-  for (int i = 0; i < concurrency; ++i) {
-    threads_.emplace_back([this] { serve_loop(); });
-  }
-}
+      thread_([this] { serve_loop(); }) {}
 
 ModelServer::~ModelServer() {
   stopping_ = true;
   listener_.close_listener();
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
+  if (thread_.joinable()) thread_.join();
 }
 
 void ModelServer::serve_loop() {
@@ -322,13 +320,6 @@ void ModelServer::serve_loop() {
             return !v.incomplete;  // complete request (accepted or rejected)
           }).bytes;
       impls::ServerVerdict verdict = impl_.parse_request(raw);
-      if (service_delay_ms_ > 0) {
-        // Simulated service time: hold the connection like a busy upstream
-        // would, then answer.  This is the wait a concurrent transport can
-        // overlap and a blocking one must eat serially.
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(service_delay_ms_));
-      }
       send_all(conn, render_response(verdict));
     } catch (const ChainFault&) {
       // Fault-injected model: behave like a crashed upstream — drop the

@@ -3,8 +3,10 @@
 // over loopback TCP so the chain can be exercised by any HTTP client).
 //
 // Scope: deliberately minimal — blocking I/O, loopback only, one connection
-// serviced at a time per server, used by examples/live_chain.cpp and the
-// live-chain integration test.  The in-process Chain (chain.h) remains the
+// serviced at a time per server.  `tcp_roundtrip{,_retry}` is the one client
+// transport: ModelProxy's backend leg, the `hdiff tail` / `selftest --serve`
+// control-plane probe and examples/live_chain.cpp each send one roundtrip at
+// a time from their own thread.  The in-process Chain (chain.h) remains the
 // engine for bulk differential testing.
 //
 // Fault model: every client round trip returns a `TcpResult` carrying a
@@ -21,7 +23,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "impls/model.h"
 #include "net/error.h"
@@ -72,21 +73,6 @@ class TcpListener {
   std::uint16_t port_ = 0;
 };
 
-/// How a client read loop stopped.  Shared by the blocking round trip and
-/// the event-loop driver (event_loop.h) so both classify identically.
-enum class StreamEnd {
-  kIdle,   ///< idle timeout
-  kClose,  ///< orderly peer close
-  kError,  ///< recv error (reset)
-};
-
-/// Classify how a client exchange ended, given the accumulated response
-/// bytes, the request that was sent (for HEAD framing) and how the stream
-/// stopped.  Allocation-free: the request method is sniffed from the
-/// request line and the response completeness is probed on views.
-ChainError classify_exchange(std::string_view bytes, std::string_view request,
-                             StreamEnd end) noexcept;
-
 /// Outcome of one client round trip.  `bytes` holds whatever arrived (it
 /// may be non-empty even on error — e.g. a truncated body); `error`
 /// classifies how the exchange ended.
@@ -128,17 +114,9 @@ class ModelServer {
   /// `obs`, when enabled, emits one "serve" span per connection and counts
   /// requests in `hdiff_server_requests_total`.  The sink/registry must
   /// outlive the server; render traces only after the server is destroyed
-  /// (the serving thread writes until then).  `concurrency` is the number
-  /// of accept/serve threads: 1 preserves the historical one-connection-at-
-  /// a-time behaviour; the event-loop driver needs more to overlap
-  /// roundtrips (the kernel load-balances accept() across the threads).
-  /// `service_delay_ms` sleeps that long between reading the request and
-  /// answering — simulated upstream service/network time for benchmarks
-  /// that measure how well a transport overlaps wire waits (E14); 0 (the
-  /// default) answers immediately as before.
+  /// (the serving thread writes until then).
   explicit ModelServer(const impls::HttpImplementation& impl,
-                       obs::Observability obs = {}, int concurrency = 1,
-                       int service_delay_ms = 0);
+                       obs::Observability obs = {});
   ~ModelServer();
 
   std::uint16_t port() const noexcept { return listener_.port(); }
@@ -150,9 +128,8 @@ class ModelServer {
   TcpListener listener_;
   obs::Observability obs_;
   obs::Counter* requests_ = nullptr;
-  int service_delay_ms_ = 0;
   std::atomic<bool> stopping_{false};
-  std::vector<std::thread> threads_;
+  std::thread thread_;
 };
 
 /// Serve one behaviour model as a real reverse proxy in front of

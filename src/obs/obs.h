@@ -112,38 +112,6 @@ struct StreamObs {
   }
 };
 
-/// Per-loop hooks for the nonblocking batch driver (net::EventLoop): one
-/// registry lookup per loop construction, relaxed increments per batch.
-struct NetLoopObs {
-  TraceSink* trace = nullptr;
-  Counter* batches = nullptr;      ///< hdiff_net_loop_batches_total
-  Counter* roundtrips = nullptr;   ///< hdiff_net_loop_roundtrips_total
-  Counter* retries = nullptr;      ///< hdiff_net_loop_retries_total
-  Counter* poll_fallback = nullptr;  ///< hdiff_net_loop_poll_fallback_total
-  Histogram* batch_size = nullptr;   ///< hdiff_net_loop_batch_size
-  Histogram* batch_us = nullptr;     ///< hdiff_net_loop_batch_micros
-  const Clock* clock = nullptr;
-
-  bool active() const noexcept { return trace || batches; }
-  std::uint64_t now() const noexcept { return clock->now_us(); }
-
-  static NetLoopObs from(const Observability& o) {
-    NetLoopObs n;
-    n.trace = o.trace;
-    n.clock = &o.effective_clock();
-    if (o.metrics) {
-      n.batches = &o.metrics->counter("hdiff_net_loop_batches_total");
-      n.roundtrips = &o.metrics->counter("hdiff_net_loop_roundtrips_total");
-      n.retries = &o.metrics->counter("hdiff_net_loop_retries_total");
-      n.poll_fallback =
-          &o.metrics->counter("hdiff_net_loop_poll_fallback_total");
-      n.batch_size = &o.metrics->histogram("hdiff_net_loop_batch_size");
-      n.batch_us = &o.metrics->histogram("hdiff_net_loop_batch_micros");
-    }
-    return n;
-  }
-};
-
 /// Pre-resolved hooks for the `hdiff serve` supervisor (serve/supervisor.h):
 /// worker lifecycle counters plus live gauges the /metrics endpoint exports.
 /// One registry lookup per daemon construction, relaxed updates per event.

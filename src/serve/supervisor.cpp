@@ -347,6 +347,9 @@ bool Runner::spawn_worker(std::size_t shard, std::size_t round) {
   posix_spawn_file_actions_t actions;
   posix_spawn_file_actions_init(&actions);
   posix_spawn_file_actions_adddup2(&actions, fds[1], 3);
+  // A worker inherits stdio and its heartbeat fd, nothing else: not the
+  // control listener, an open control connection or the flight log.
+  posix_spawn_file_actions_addclosefrom_np(&actions, 4);
 
   pid_t pid = -1;
   const int rc = ::posix_spawn(&pid, config_.worker_binary.c_str(), &actions,

@@ -49,9 +49,9 @@
 #include "campaign/engine.h"
 #include "impls/model.h"
 #include "net/error.h"
-#include "net/event_loop.h"
 #include "net/tcp.h"
 #include "obs/obs.h"
+#include "serve/control.h"
 #include "serve/introspect.h"
 
 namespace hdiff::serve {

@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -531,137 +529,6 @@ TEST(ParallelExecutor, PersistentFaultQuarantineIsDeterministicAcrossJobs) {
       EXPECT_EQ(stats.quarantined[i].error, serial_stats.quarantined[i].error);
     }
   }
-}
-
-// ---- observe_batch: the block-claiming seam for live transports -----------
-
-// A hook that adapts chain.observe per case: the batch path must then be
-// bit-identical to the direct chain path for every jobs/memoize setting.
-TEST(ParallelExecutor, BatchHookIsBitIdenticalToChainPath) {
-  const std::vector<TestCase>& cases = probe_and_sr_cases();
-  auto fleet = impls::make_all_implementations();
-  net::Chain chain = net::Chain::from_fleet(fleet);
-
-  ExecutorConfig baseline_config;
-  baseline_config.jobs = 1;
-  baseline_config.memoize = false;
-  const DetectionResult baseline =
-      ParallelExecutor(baseline_config).run(chain, cases);
-
-  for (const auto& [jobs, batch_size] :
-       std::vector<std::pair<std::size_t, std::size_t>>{
-           {1, 1}, {1, 7}, {4, 16}, {4, 1000000}}) {
-    SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                 " batch_size=" + std::to_string(batch_size));
-    ExecutorConfig config;
-    config.jobs = jobs;
-    config.batch_size = batch_size;
-    config.observe_batch = [&chain](const TestCase* block, std::size_t n,
-                                    std::vector<net::ChainObservation>& out) {
-      for (std::size_t i = 0; i < n; ++i) {
-        out.push_back(
-            chain.observe(block[i].uuid, block[i].raw, nullptr, nullptr));
-      }
-    };
-    ExecutorStats stats;
-    const DetectionResult result =
-        ParallelExecutor(config).run(chain, cases, &stats);
-    expect_same_findings(baseline, result);
-    EXPECT_EQ(stats.cases, cases.size());
-    EXPECT_EQ(stats.quarantined_cases, 0u);
-  }
-}
-
-// on_delta must still fire in stable case-index order when workers claim
-// whole blocks.
-TEST(ParallelExecutor, BatchHookKeepsDeltaOrderStable) {
-  std::vector<TestCase> cases = verification_probes();
-  auto fleet = impls::make_all_implementations();
-  net::Chain chain = net::Chain::from_fleet(fleet);
-
-  ExecutorConfig config;
-  config.jobs = 4;
-  config.batch_size = 5;
-  config.observe_batch = [&chain](const TestCase* block, std::size_t n,
-                                  std::vector<net::ChainObservation>& out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(
-          chain.observe(block[i].uuid, block[i].raw, nullptr, nullptr));
-    }
-  };
-  std::vector<std::size_t> order;
-  config.on_delta = [&order](std::size_t index, const TestCase&,
-                             const DetectionResult&, bool) {
-    order.push_back(index);
-  };
-  ParallelExecutor(config).run(chain, cases);
-  ASSERT_EQ(order.size(), cases.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], i);
-  }
-}
-
-// A hook whose first observation of selected cases faults must be retried
-// per case (n=1) and recover, with exact fault accounting.
-TEST(ParallelExecutor, BatchHookFaultsRetryPerCase) {
-  std::vector<TestCase> cases = verification_probes();
-  cases.resize(std::min<std::size_t>(cases.size(), 12));
-  auto fleet = impls::make_all_implementations();
-  net::Chain chain = net::Chain::from_fleet(fleet);
-
-  // Every 3rd case faults exactly once: on its first (batched) attempt.
-  std::mutex mutex;
-  std::map<std::string, int> attempts_by_uuid;
-  ExecutorConfig config;
-  config.jobs = 2;
-  config.batch_size = 4;
-  config.memoize = false;  // every case observed: exact fault accounting
-  config.retry.attempts = 3;
-  config.retry.backoff_base_ms = 0;
-  config.retry.backoff_max_ms = 0;
-  std::size_t injected = 0;
-  config.observe_batch = [&](const TestCase* block, std::size_t n,
-                             std::vector<net::ChainObservation>& out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      int attempt;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        attempt = attempts_by_uuid[block[i].uuid]++;
-      }
-      const bool fault_this = attempt == 0 && fnv1a64(block[i].uuid) % 3 == 0;
-      if (fault_this) {
-        net::ChainObservation obs;
-        obs.uuid = block[i].uuid;
-        obs.request = block[i].raw;
-        obs.fault = net::ChainError::kReset;
-        obs.fault_detail = "injected";
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          ++injected;
-        }
-        out.push_back(std::move(obs));
-      } else {
-        out.push_back(
-            chain.observe(block[i].uuid, block[i].raw, nullptr, nullptr));
-      }
-    }
-  };
-
-  ExecutorConfig clean_config;
-  clean_config.jobs = 1;
-  clean_config.memoize = false;
-  const DetectionResult want =
-      ParallelExecutor(clean_config).run(chain, cases);
-
-  ExecutorStats stats;
-  const DetectionResult got =
-      ParallelExecutor(config).run(chain, cases, &stats);
-  expect_same_findings(want, got);
-  EXPECT_GT(injected, 0u);
-  EXPECT_EQ(stats.faulted_attempts, injected);
-  EXPECT_EQ(stats.retry_attempts, injected);  // each faulted case retried once
-  EXPECT_EQ(stats.recovered_cases, injected);
-  EXPECT_EQ(stats.quarantined_cases, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -331,6 +332,49 @@ TEST(Tcp, RetryRecoversAfterTransientReset) {
   EXPECT_TRUE(result.ok()) << to_string(result.error);
   EXPECT_NE(result.bytes.find("HTTP/1.1 200"), std::string::npos);
   server.join();
+}
+
+TEST(Tcp, RetryAgainstDeadPortWaitsOutTheBackoffSchedule) {
+  RetryPolicy retry;
+  retry.attempts = 3;
+  retry.backoff_base_ms = 20;
+  retry.backoff_max_ms = 50;
+  const std::string request = "GET / HTTP/1.1\r\nHost: h\r\n\r\n";
+  const auto start = std::chrono::steady_clock::now();
+  // Port 1 on loopback is almost certainly closed, as in
+  // ConnectFailureIsClassifiedNotEmpty.
+  const TcpResult result = tcp_roundtrip_retry(1, request, retry, 100);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(result.error, ChainError::kConnectFail);
+  EXPECT_TRUE(result.bytes.empty());
+  EXPECT_GE(elapsed, std::chrono::milliseconds(retry.backoff_ms(0, request) +
+                                               retry.backoff_ms(1, request)));
+}
+
+TEST(Tcp, RetryStopsAtTheCaseDeadlineBeforeAttemptsRunOut) {
+  // Every connection is accepted and closed unanswered (kReset), so each
+  // attempt is one accept.  The deadline is far shorter than the backoff
+  // schedule of 20 attempts, so the wrapper must give up early.
+  TcpListener listener;
+  std::atomic<int> accepted{0};
+  std::thread server([&] {
+    for (int fd; (fd = listener.accept_connection()) >= 0;) {
+      ++accepted;
+      ::close(fd);
+    }
+  });
+  RetryPolicy retry;
+  retry.attempts = 20;
+  retry.backoff_base_ms = 50;
+  retry.backoff_max_ms = 50;
+  retry.case_deadline_ms = 30;
+  const TcpResult result = tcp_roundtrip_retry(
+      listener.port(), "GET / HTTP/1.1\r\nHost: h\r\n\r\n", retry, 500);
+  listener.close_listener();
+  server.join();
+  EXPECT_EQ(result.error, ChainError::kReset);
+  EXPECT_GE(accepted.load(), 1);
+  EXPECT_LT(accepted.load(), retry.attempts);
 }
 
 TEST(Tcp, FaultInjectedModelServerSurvivesAndResets) {

@@ -55,7 +55,6 @@ TEST(Exposition, EveryRegisteredFamilyNameMatchesThePrometheusCharset) {
   obs.metrics = &registry;
   (void)ChainObs::from(obs);
   (void)ServeObs::from(obs);
-  (void)NetLoopObs::from(obs);
 
   const Registry::Snapshot snap = registry.snapshot();
   auto check = [](const std::string& name) {

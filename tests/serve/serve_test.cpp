@@ -24,10 +24,10 @@
 #include "campaign/store.h"
 #include "core/probes.h"
 #include "impls/products.h"
-#include "net/event_loop.h"
 #include "net/tcp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/control.h"
 #include "serve/flight.h"
 #include "serve/introspect.h"
 #include "serve/worker.h"
@@ -349,6 +349,46 @@ TEST(ServeLoop, MalformedRequestIs400NotACrash) {
   EXPECT_EQ(loop.requests_rejected(), 1u);
 }
 
+TEST(ServeLoop, ContentLengthIsOneStrictDecimalWithinTheLimit) {
+  struct Row {
+    std::string headers;  ///< header lines after the request line
+    std::string body;
+    std::string status;   ///< expected status line prefix
+  };
+  const std::vector<Row> rows = {
+      {"Content-Length: 0\r\n", "", "HTTP/1.1 200"},
+      {"Content-Length: 5\r\n", "drain", "HTTP/1.1 200"},
+      {"Content-Length: -1\r\n", "", "HTTP/1.1 400"},
+      {"Content-Length: +0\r\n", "", "HTTP/1.1 400"},
+      {"Content-Length: 00\r\n", "", "HTTP/1.1 400"},
+      {"Content-Length: 0x10\r\n", "", "HTTP/1.1 400"},
+      {"Content-Length: 1 2\r\n", "", "HTTP/1.1 400"},
+      {"Content-Length:\r\n", "", "HTTP/1.1 400"},
+      {"Content-Length: 18446744073709551616\r\n", "", "HTTP/1.1 400"},
+      {"Content-Length: 0\r\nContent-Length: 0\r\n", "", "HTTP/1.1 400"},
+      {"Content-Length: 0\r\n 0\r\n", "", "HTTP/1.1 400"},
+      {"Content-Length: 18446744073709551615\r\n", "", "HTTP/1.1 413"},
+      {"Content-Length: 1000\r\n", "", "HTTP/1.1 413"},
+  };
+  net::TcpListener listener;
+  net::ServeLoopConfig config;
+  config.max_request_bytes = 512;
+  net::ServeLoop loop(
+      listener,
+      [](const net::ControlRequest&) { return net::ControlResponse{}; },
+      config);
+  std::size_t rejected = 0;
+  for (const Row& row : rows) {
+    const std::string reply = pump_roundtrip(
+        loop, listener.port(),
+        "GET /healthz HTTP/1.1\r\n" + row.headers + "\r\n" + row.body);
+    EXPECT_EQ(reply.rfind(row.status, 0), 0u) << row.headers << reply;
+    if (row.status != "HTTP/1.1 200") ++rejected;
+  }
+  EXPECT_EQ(loop.requests_handled(), rows.size() - rejected);
+  EXPECT_EQ(loop.requests_rejected(), rejected);
+}
+
 TEST(ServeLoop, OversizedRequestIs413) {
   net::TcpListener listener;
   net::ServeLoopConfig config;
@@ -447,6 +487,45 @@ TEST(Supervisor, CrashOnlyWorkerIsQuarantinedAndTheRoundStillCompletes) {
             slurp(serve_store.findings_path()));
   fs::remove_all(ref_dir);
   fs::remove_all(serve_dir);
+}
+
+TEST(Supervisor, WorkersInheritOnlyStdioAndTheHeartbeatFd) {
+  const auto fleet = impls::make_all_implementations();
+  const std::string serve_dir = fresh_dir("fds-serve");
+  const std::string bin_dir = fresh_dir("fds-bin");
+  fs::create_directories(serve_dir);
+  fs::create_directories(bin_dir);
+  // A worker that records its open fds and dies: every spawn, restarts
+  // included, appends one listing, and the shards fall back inline.
+  const std::string listing = serve_dir + "/worker-fds.txt";
+  const std::string script = bin_dir + "/worker.sh";
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\nls -l /proc/$$/fd >> '" << listing << "'\nexit 1\n";
+  }
+  fs::permissions(script, fs::perms::owner_all);
+  // Hold an extra socket below the supervisor's own listener, so the
+  // heartbeat dup2 onto fd 3 cannot hide a leaked listener by overwriting
+  // it.
+  net::TcpListener low_fd;
+
+  ServeConfig config;
+  config.campaign = small_campaign(serve_dir);
+  config.shards = 2;
+  config.worker_binary = script;
+  config.heartbeat_interval_ms = 40;
+  config.quarantine_after = 2;
+  Supervisor supervisor(config, fleet);
+  const ServeReport report = supervisor.run();
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  EXPECT_GE(report.worker_restarts, 1u);
+
+  const std::string fds = slurp(listing);
+  ASSERT_FALSE(fds.empty());
+  EXPECT_EQ(fds.find("socket:"), std::string::npos) << fds;
+  EXPECT_EQ(fds.find("flight.events"), std::string::npos) << fds;
+  fs::remove_all(serve_dir);
+  fs::remove_all(bin_dir);
 }
 
 TEST(Supervisor, LeftoverShardResultIsReusedNotReexecuted) {

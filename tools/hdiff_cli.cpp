@@ -29,11 +29,6 @@
 //   hdiff selftest --views             assert the zero-copy view parsers
 //                                      (http/view.h) are byte-identical to
 //                                      the frozen reference lexer
-//   hdiff selftest --net-loop          assert findings are byte-identical
-//                                      when live roundtrips go through the
-//                                      epoll event loop vs the blocking
-//                                      client (--force-poll for the poll
-//                                      fallback)
 //   hdiff lint [docs...] [--all-corpus] [--jobs N] [--json FILE]
 //              [--no-default-waivers]  static spec-lint: grammar analysis
 //                                      (left recursion, ambiguity, dead
@@ -122,9 +117,7 @@
 #include "http/response.h"
 #include "http/view.h"
 #include "impls/products.h"
-#include "net/event_loop.h"
 #include "net/fault.h"
-#include "net/live.h"
 #include "net/tcp.h"
 #include "obs/obs.h"
 #include "report/table.h"
@@ -164,12 +157,6 @@ int usage() {
       "                               view-backed parsers are byte-identical\n"
       "                               to the frozen reference lexer over\n"
       "                               probes + deterministic fuzz mutants\n"
-      "  selftest --net-loop [--jobs N] [--force-poll]\n"
-      "                               live-transport self-test: assert\n"
-      "                               findings are byte-identical with\n"
-      "                               --net-loop on (epoll event loop, or\n"
-      "                               poll via --force-poll) and off\n"
-      "                               (blocking roundtrips)\n"
       "  lint [docs...] [--all-corpus] [--jobs N] [--json FILE]\n"
       "       [--no-default-waivers]  static spec-lint over the extracted\n"
       "                               grammar, the SR rule base, and the\n"
@@ -928,133 +915,6 @@ int selftest_views() {
   return 0;
 }
 
-// ---- selftest --net-loop: blocking vs event-loop finding identity ---------
-
-std::string dump_observation(const hdiff::net::ChainObservation& obs) {
-  std::string out = "fault=" +
-                    std::string(hdiff::net::to_string(obs.fault)) + "\n";
-  for (const auto& [name, v] : obs.direct) {
-    out += name + ": impl=" + v.impl + " status=" + std::to_string(v.status) +
-           " incomplete=" + std::to_string(v.incomplete) +
-           " framing=" + std::string(hdiff::impls::to_string(v.framing)) +
-           " host=" + v.host + " close=" + std::to_string(v.close_connection) +
-           " body[";
-    append_escaped(out, v.body);
-    out += "] leftover[";
-    append_escaped(out, v.leftover);
-    out += "]\n";
-  }
-  return out;
-}
-
-int selftest_netloop(std::size_t jobs, bool force_poll) {
-  namespace net = hdiff::net;
-  namespace core = hdiff::core;
-  if (jobs == 0) jobs = 2;
-
-  const auto fleet = hdiff::impls::make_all_implementations();
-  std::vector<const hdiff::impls::HttpImplementation*> backends;
-  for (const auto& impl : fleet) {
-    if (impl->is_server()) backends.push_back(impl.get());
-  }
-  std::vector<core::TestCase> cases = core::verification_probes();
-  if (cases.size() > 48) cases.resize(48);
-
-  net::RetryPolicy transport;
-  transport.attempts = 3;
-  transport.backoff_base_ms = 1;
-  transport.backoff_max_ms = 20;
-
-  // One pass per mode: observe the corpus directly (observation digests)
-  // and through the executor batch seam (findings).
-  const auto run_mode = [&](net::NetLoopMode mode, bool poll_fallback,
-                            std::vector<std::string>& digests,
-                            core::DetectionResult& findings) {
-    net::LiveFleetConfig config;
-    config.mode = mode;
-    config.force_poll = poll_fallback;
-    config.server_concurrency = static_cast<int>(std::min<std::size_t>(
-        jobs * 2, 8));
-    net::LiveFleet live(backends, config);
-
-    std::vector<net::LiveCase> live_cases;
-    live_cases.reserve(cases.size());
-    for (const core::TestCase& tc : cases) {
-      live_cases.push_back(net::LiveCase{tc.uuid, tc.raw});
-    }
-    for (const net::ChainObservation& obs :
-         live.observe_batch(live_cases, transport)) {
-      digests.push_back(dump_observation(obs));
-    }
-
-    core::ExecutorConfig ec;
-    ec.jobs = jobs;
-    ec.batch_size = 16;
-    ec.observe_batch = [&live, &transport](const core::TestCase* block,
-                                           std::size_t n,
-                                           std::vector<net::ChainObservation>&
-                                               out) {
-      std::vector<net::LiveCase> batch;
-      batch.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(net::LiveCase{block[i].uuid, block[i].raw});
-      }
-      for (net::ChainObservation& obs : live.observe_batch(batch, transport)) {
-        out.push_back(std::move(obs));
-      }
-    };
-    const net::Chain chain({}, {}, {});  // transport comes from the hook
-    const core::ParallelExecutor executor(ec);
-    findings = executor.run(chain, cases);
-    return live.loop_enabled();
-  };
-
-  std::vector<std::string> off_digests;
-  std::vector<std::string> on_digests;
-  core::DetectionResult off_findings;
-  core::DetectionResult on_findings;
-  std::printf("blocking-client run (--net-loop off, %zu cases x %zu "
-              "backends)...\n",
-              cases.size(), backends.size());
-  run_mode(net::NetLoopMode::kOff, false, off_digests, off_findings);
-  std::printf("event-loop run (--net-loop on%s)...\n",
-              force_poll ? ", poll fallback" : "");
-  const bool loop_used =
-      run_mode(net::NetLoopMode::kOn, force_poll, on_digests, on_findings);
-  if (!loop_used) {
-    std::printf("selftest FAILED: --net-loop on did not engage the loop\n");
-    return 1;
-  }
-
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < off_digests.size(); ++i) {
-    if (off_digests[i] != on_digests[i]) {
-      if (++mismatches <= 4) {
-        std::printf("OBSERVATION MISMATCH case %s\n--- blocking:\n%s"
-                    "--- event loop:\n%s",
-                    cases[i].uuid.c_str(), off_digests[i].c_str(),
-                    on_digests[i].c_str());
-      }
-    }
-  }
-  if (mismatches > 0) {
-    std::printf("selftest FAILED: %zu/%zu observations differ between "
-                "transports\n",
-                mismatches, off_digests.size());
-    return 1;
-  }
-  if (!findings_identical(off_findings, on_findings)) {
-    std::printf(
-        "selftest FAILED: findings differ between --net-loop on and off\n");
-    return 1;
-  }
-  std::printf(
-      "selftest PASSED: findings byte-identical with --net-loop on and off "
-      "(%zu cases, %zu backends, %zu roundtrip observations per mode)\n",
-      cases.size(), backends.size(), off_digests.size());
-  return 0;
-}
-
 int selftest_campaign(std::size_t jobs);  // defined with the campaign CLI
 int selftest_stream(std::size_t jobs);    // defined with the campaign CLI
 int selftest_serve(std::size_t jobs);     // defined with the serve CLI
@@ -1068,8 +928,6 @@ int cmd_selftest(int argc, char** argv) {
   bool campaign_mode = false;
   bool stream_mode = false;
   bool views_mode = false;
-  bool netloop_mode = false;
-  bool force_poll = false;
   bool serve_mode = false;
   bool serve_soak_mode = false;
   int soak_seconds = 60;
@@ -1078,8 +936,6 @@ int cmd_selftest(int argc, char** argv) {
     if (std::strcmp(argv[i], "--campaign") == 0) campaign_mode = true;
     if (std::strcmp(argv[i], "--stream") == 0) stream_mode = true;
     if (std::strcmp(argv[i], "--views") == 0) views_mode = true;
-    if (std::strcmp(argv[i], "--net-loop") == 0) netloop_mode = true;
-    if (std::strcmp(argv[i], "--force-poll") == 0) force_poll = true;
     if (std::strcmp(argv[i], "--serve") == 0) serve_mode = true;
     if (std::strcmp(argv[i], "--serve-soak") == 0) serve_soak_mode = true;
     if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
@@ -1120,11 +976,6 @@ int cmd_selftest(int argc, char** argv) {
   if (stream_mode) return selftest_stream(config.executor.jobs);
   if (trace_mode) return selftest_trace(std::move(config));
   if (views_mode) return selftest_views();
-  if (netloop_mode) {
-    // The fault-plan defaults above size `jobs` for the in-process chain;
-    // the live self-test interprets 0 as "pick a small worker pool".
-    return selftest_netloop(config.executor.jobs, force_poll);
-  }
 
   hdiff::core::Pipeline pipeline(config);
   auto fleet = hdiff::impls::make_all_implementations();
