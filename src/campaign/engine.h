@@ -15,8 +15,8 @@
 // "interesting": it is delta-debug minimized and joins the corpus as a new
 // mutation seed for later rounds.  After each round the engine appends the
 // round's findings to findings.jsonl and then atomically publishes the
-// checkpoint; a kill at any point resumes to byte-identical state (the
-// `hdiff selftest --campaign` proof).
+// checkpoint; a kill at any point resumes to byte-identical state
+// (EngineTest.CrashedRoundResumesByteIdentically).
 //
 // Determinism: rounds depend only on the checkpoint (scheduler weights,
 // cursors, retry queue) and the deterministic model fleet — no wall clock,

@@ -289,7 +289,7 @@ class StateStore {
   const std::string& state_dir() const { return dir_; }
   const std::string& error() const { return error_; }
 
-  /// Paths (exposed for tests and the selftest's byte-identity check).
+  /// Paths (exposed for the byte-identity checks in tests and selftests).
   std::string state_path() const;
   std::string findings_path() const;
   std::string corpus_path(const std::string& hash) const;

@@ -18,8 +18,9 @@
 //
 // The owned lexers (`lex_request`, `lex_response`) are implemented as
 // `parse_*_view(raw).materialize()`, so the view parser is the single
-// source of truth; `http::reference` keeps a frozen copy of the historical
-// lexer as the differential oracle for the parity suite.
+// source of truth; `http::reference` (tests/http/reference.h) keeps a
+// frozen copy of the historical lexer as the differential oracle for the
+// parity suite.
 #pragma once
 
 #include <cstdint>

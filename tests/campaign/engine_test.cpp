@@ -23,6 +23,7 @@
 #include "core/probes.h"
 #include "impls/products.h"
 #include "net/fault.h"
+#include "obs/metrics.h"
 #include "stream/model.h"
 #include "stream/seeds.h"
 
@@ -137,6 +138,16 @@ analysis::CoveragePlan coverage_fixture() {
   return analysis::build_coverage_plan(g, {"HTTP-message"});
 }
 
+/// Streams and the coverage-weighted schedule together, the way
+/// `hdiff campaign run --streams` runs them.
+CampaignConfig make_stream_coverage_config(const std::string& dir,
+                                           std::size_t rounds,
+                                           std::size_t jobs) {
+  CampaignConfig config = make_stream_config(dir, rounds, jobs);
+  config.coverage = coverage_fixture();
+  return config;
+}
+
 class EngineTest : public ::testing::Test {
  protected:
   void SetUp() override { fleet_ = impls::make_all_implementations(); }
@@ -214,31 +225,45 @@ TEST_F(EngineTest, CrashedRoundResumesByteIdentically) {
 TEST_F(EngineTest, CrashedStreamRoundResumesByteIdentically) {
   expect_crash_resume_byte_identical(fleet_, &make_stream_config,
                                      "stream-crash");
+  expect_crash_resume_byte_identical(fleet_, &make_stream_coverage_config,
+                                     "stream-cov-crash");
 }
 
 TEST_F(EngineTest, StreamCampaignIsByteIdenticalAcrossJobs) {
-  const std::string dir1 = fresh_dir("stream-jobs1");
-  const std::string dir8 = fresh_dir("stream-jobs8");
+  for (const auto make : {&make_stream_config, &make_stream_coverage_config}) {
+    const bool coverage = make == &make_stream_coverage_config;
+    SCOPED_TRACE(coverage ? "streams + coverage" : "streams");
+    const std::string dir1 = fresh_dir("stream-jobs1");
+    const std::string dir8 = fresh_dir("stream-jobs8");
 
-  const auto r1 = CampaignEngine(make_stream_config(dir1, 2, 1)).run(fleet_);
-  const auto r8 = CampaignEngine(make_stream_config(dir8, 2, 8)).run(fleet_);
-  ASSERT_TRUE(r1.error.empty()) << r1.error;
-  ASSERT_TRUE(r8.error.empty()) << r8.error;
-  EXPECT_GT(r1.stream_entries, 0u);
+    // Only the jobs-1 run is observed: observability never perturbs
+    // findings (ObsIntegration.FindingsIdenticalWithObsOnAndOff), so the
+    // byte comparison below also covers obs on vs off.
+    obs::Registry registry;
+    CampaignConfig config1 = make(dir1, 2, 1);
+    config1.obs.metrics = &registry;
+    const auto r1 = CampaignEngine(config1).run(fleet_);
+    const auto r8 = CampaignEngine(make(dir8, 2, 8)).run(fleet_);
+    ASSERT_TRUE(r1.error.empty()) << r1.error;
+    ASSERT_TRUE(r8.error.empty()) << r8.error;
+    EXPECT_GT(r1.stream_entries, 0u);
+    EXPECT_EQ(r1.coverage_enabled, coverage);
+    EXPECT_GT(registry.counter("hdiff_stream_observations_total").value(), 0u);
 
-  StateStore s1(dir1), s8(dir8);
-  ASSERT_TRUE(s1.load_readonly()) << s1.error();
-  bool stream_finding = false;
-  for (const auto& f : s1.findings) {
-    stream_finding |= f.detector.rfind("stream-", 0) == 0;
+    StateStore s1(dir1), s8(dir8);
+    ASSERT_TRUE(s1.load_readonly()) << s1.error();
+    bool stream_finding = false;
+    for (const auto& f : s1.findings) {
+      stream_finding |= f.detector.rfind("stream-", 0) == 0;
+    }
+    EXPECT_TRUE(stream_finding);
+    EXPECT_EQ(slurp(s1.state_path()), slurp(s8.state_path()));
+    EXPECT_EQ(slurp(s1.findings_path()), slurp(s8.findings_path()));
+    EXPECT_EQ(corpus_listing(dir1), corpus_listing(dir8));
+
+    fs::remove_all(dir1);
+    fs::remove_all(dir8);
   }
-  EXPECT_TRUE(stream_finding);
-  EXPECT_EQ(slurp(s1.state_path()), slurp(s8.state_path()));
-  EXPECT_EQ(slurp(s1.findings_path()), slurp(s8.findings_path()));
-  EXPECT_EQ(corpus_listing(dir1), corpus_listing(dir8));
-
-  fs::remove_all(dir1);
-  fs::remove_all(dir8);
 }
 
 TEST_F(EngineTest, EveryStreamCampaignCommitNamesOnlyDurableFiles) {
@@ -591,6 +616,43 @@ TEST_F(EngineTest, EveryFingerprintIsReportedExactlyOnce) {
         << "duplicate fingerprint " << f.fingerprint;
   }
   EXPECT_EQ(seen.size(), report.total_findings);
+
+  fs::remove_all(dir);
+}
+
+TEST_F(EngineTest, CampaignFindingsCoverTheBootstrapFindings) {
+  // Round 0 executes the bootstrap corpus, so its DetectionResult is what a
+  // one-shot `hdiff run` over that corpus reports.  Every pair and
+  // violation it holds must reappear among the findings DB's vectors.
+  const std::string dir = fresh_dir("superset");
+  const auto report = CampaignEngine(make_config(dir, 2, 1)).run(fleet_);
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  ASSERT_FALSE(report.bootstrap_findings.pairs.empty());
+  ASSERT_FALSE(report.bootstrap_findings.violations.empty());
+
+  StateStore store(dir);
+  ASSERT_TRUE(store.load()) << store.error();
+  std::set<std::string> pairs, violations;
+  for (const auto& f : store.findings) {
+    for (const auto& component : f.vector) {
+      const std::size_t arrow = component.find("->");
+      if (f.detector == "sr-violation") {
+        violations.insert(component);
+      } else if (arrow != std::string::npos) {
+        pairs.insert(component.substr(0, arrow) + "|" +
+                     component.substr(arrow + 2) + "|" + f.detector);
+      }
+    }
+  }
+  for (const auto& p : report.bootstrap_findings.pairs) {
+    EXPECT_TRUE(pairs.count(p.front + "|" + p.back + "|" +
+                            std::string(to_string(p.attack))))
+        << "one-shot pair " << p.front << "->" << p.back << " missing";
+  }
+  for (const auto& v : report.bootstrap_findings.violations) {
+    EXPECT_TRUE(violations.count(v.impl + "|" + v.sr_id))
+        << "one-shot violation " << v.impl << "|" << v.sr_id << " missing";
+  }
 
   fs::remove_all(dir);
 }

@@ -19,8 +19,8 @@
 #include "core/probes.h"
 #include "http/chunked.h"
 #include "http/lexer.h"
-#include "http/reference.h"
 #include "http/response.h"
+#include "reference.h"
 
 namespace hdiff::http {
 namespace {
@@ -174,35 +174,51 @@ TEST(ViewParity, VerificationProbesAreByteIdentical) {
 }
 
 TEST(ViewParity, DeterministicFuzzMutantsAreByteIdentical) {
-  // Fixed-LCG mutants of the handcrafted templates: replace / insert /
-  // delete bytes drawn from a delimiter-heavy alphabet, so the same byte
-  // soup is replayed on every run (and under every sanitizer preset).
+  // Fixed-LCG mutants of the handcrafted templates and of the verification
+  // probes: replace / insert / delete bytes drawn from a delimiter-heavy
+  // alphabet, then pure-random byte soup, so the same inputs are replayed
+  // on every run (and under every sanitizer preset).
   std::uint64_t state = 0x2545f4914f6cdd1dull;
   const auto next = [&state]() {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     return static_cast<std::uint32_t>(state >> 33);
   };
   const char alphabet[] = "\r\n\t :;,/\x00\x80\xff\x0bGEThost01af";
-  const std::vector<std::string>& templates = handcrafted();
-  for (int i = 0; i < 400; ++i) {
-    std::string m = templates[next() % templates.size()];
-    const int edits = 1 + static_cast<int>(next() % 4);
-    for (int e = 0; e < edits; ++e) {
-      const char c = alphabet[next() % (sizeof alphabet - 1)];
-      switch (next() % 3) {
-        case 0:
-          if (!m.empty()) m[next() % m.size()] = c;
-          break;
-        case 1:
-          m.insert(m.begin() + static_cast<long>(next() % (m.size() + 1)), c);
-          break;
-        default:
-          if (!m.empty()) m.erase(next() % m.size(), 1);
-          break;
+  const auto mutate = [&](const std::vector<std::string>& templates, int n,
+                          const std::string& family) {
+    for (int i = 0; i < n; ++i) {
+      std::string m = templates[next() % templates.size()];
+      const int edits = 1 + static_cast<int>(next() % 4);
+      for (int e = 0; e < edits; ++e) {
+        const char c = alphabet[next() % (sizeof alphabet - 1)];
+        switch (next() % 3) {
+          case 0:
+            if (!m.empty()) m[next() % m.size()] = c;
+            break;
+          case 1:
+            m.insert(m.begin() + static_cast<long>(next() % (m.size() + 1)),
+                     c);
+            break;
+          default:
+            if (!m.empty()) m.erase(next() % m.size(), 1);
+            break;
+        }
       }
+      SCOPED_TRACE(family + " mutant " + std::to_string(i));
+      expect_parity(m);
     }
-    SCOPED_TRACE("mutant " + std::to_string(i));
-    expect_parity(m);
+  };
+  mutate(handcrafted(), 400, "handcrafted");
+  std::vector<std::string> probes;
+  for (const core::TestCase& tc : core::verification_probes()) {
+    probes.push_back(tc.raw);
+  }
+  mutate(probes, 200, "probe");
+  for (int i = 0; i < 100; ++i) {
+    std::string soup(next() % 160, '\0');
+    for (char& c : soup) c = static_cast<char>(next() % 256);
+    SCOPED_TRACE("byte soup " + std::to_string(i));
+    expect_parity(soup);
   }
 }
 

@@ -23,12 +23,6 @@
 //   hdiff selftest [--fault-plan SPEC] run the pipeline against a
 //                                      deliberately faulty fleet and assert
 //                                      zero fault-induced false differentials
-//   hdiff selftest --trace             run the pipeline with and without
-//                                      observability and assert the findings
-//                                      are byte-identical
-//   hdiff selftest --views             assert the zero-copy view parsers
-//                                      (http/view.h) are byte-identical to
-//                                      the frozen reference lexer
 //   hdiff lint [docs...] [--all-corpus] [--jobs N] [--json FILE]
 //              [--no-default-waivers]  static spec-lint: grammar analysis
 //                                      (left recursion, ambiguity, dead
@@ -46,17 +40,6 @@
 //                                      become deduplicated findings, and
 //                                      every round ends in a crash-safe
 //                                      checkpoint under --state-dir
-//   hdiff selftest --campaign          campaign self-test: mini campaign
-//                                      into a temp state dir; asserts the
-//                                      findings are a superset of a one-shot
-//                                      run, every fingerprint is unique, and
-//                                      a kill-and-resume run reproduces the
-//                                      uninterrupted state byte-identically
-//   hdiff selftest --stream            stream self-test: seeded connection-
-//                                      level campaign files at least one
-//                                      stream-* divergence and state/findings
-//                                      stay byte-identical across --jobs
-//                                      parallelism and kill-and-resume
 //   hdiff serve --state-dir DIR        supervised campaign daemon: rounds
 //                  [--shards N] [--port P] [...]
 //                  [--metrics-out FILE] [--trace-out FILE]
@@ -94,28 +77,25 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include <filesystem>
 #include <unistd.h>
 
 #include "analysis/lint.h"
 #include "campaign/engine.h"
-#include "campaign/fingerprint.h"
 #include "campaign/store.h"
 #include "core/export.h"
 #include "core/hmetrics.h"
 #include "corpus/registry.h"
 #include "core/hdiff.h"
 #include "core/probes.h"
-#include "http/chunked.h"
-#include "http/lexer.h"
-#include "http/reference.h"
-#include "http/response.h"
-#include "http/view.h"
+#include "core/record.h"
 #include "impls/products.h"
 #include "net/fault.h"
 #include "net/tcp.h"
@@ -150,26 +130,11 @@ int usage() {
       "                               assert zero false differentials\n"
       "                               (SPEC: rate=0.3,seed=1,max=1,nth=0,\n"
       "                               delay=1,kinds=reset+truncate+connect)\n"
-      "  selftest --trace [--jobs N]  observability self-test: assert\n"
-      "                               findings are byte-identical with\n"
-      "                               tracing/metrics on and off\n"
-      "  selftest --views             zero-copy parity self-test: assert the\n"
-      "                               view-backed parsers are byte-identical\n"
-      "                               to the frozen reference lexer over\n"
-      "                               probes + deterministic fuzz mutants\n"
       "  lint [docs...] [--all-corpus] [--jobs N] [--json FILE]\n"
       "       [--no-default-waivers]  static spec-lint over the extracted\n"
       "                               grammar, the SR rule base, and the\n"
       "                               mutation operators; exit 0 = clean,\n"
       "                               3 = unwaived warnings, 4 = errors\n"
-      "  selftest --campaign          campaign self-test: superset of the\n"
-      "                               one-shot findings, fingerprint dedup,\n"
-      "                               and byte-identical kill-and-resume\n"
-      "  selftest --stream [--jobs N] stream self-test: seeded connection-\n"
-      "                               level campaign files at least one\n"
-      "                               stream-* finding and stays\n"
-      "                               byte-identical across --jobs and\n"
-      "                               kill-and-resume\n"
       "  selftest --serve [--jobs N]  daemon self-test: assert the sharded\n"
       "                               supervisor's findings are byte-identical\n"
       "                               to the single-process engine under\n"
@@ -227,6 +192,36 @@ std::string read_bytes(const std::string& path) {
   if (!hdiff::core::read_file(path, &out)) out.clear();
   return out;
 }
+
+/// Store `value`, the argument of the numeric flag `flag`, in `*out`: a
+/// plain decimal (core::parse_dec: no sign, no leading zero, nothing after
+/// the digits) within [lo, hi].  Anything else is a usage error: it names
+/// the flag on stderr and exits 2.  Called only while parsing arguments,
+/// before any thread or child process exists.
+template <typename T>
+void numeric_flag(const char* flag, const char* value,
+                  std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+                  T* out) {
+  T v{};
+  if (!hdiff::core::parse_dec(std::string_view(value), &v) || v < lo ||
+      v > hi) {
+    std::fprintf(stderr, "%s wants an integer in [%s, %s], got %s\n", flag,
+                 std::to_string(lo).c_str(), std::to_string(hi).c_str(),
+                 value);
+    std::exit(2);
+  }
+  *out = v;
+}
+
+// Upper bounds shared by the flags that set the same knob in several
+// commands (workers, rounds, per-round budget, shard processes).
+constexpr std::size_t kMaxJobs = 1024;
+constexpr std::size_t kMaxRounds = 1000000000;
+constexpr std::size_t kMaxBudget = 1000000;
+constexpr std::size_t kMaxShards = 256;
+constexpr int kMaxRetries = 10000;
+constexpr int kMaxMillis = 86400000;  // one day
+constexpr int kMaxHeartbeatMs = 60000;
 
 bool write_file(const std::string& path, std::string_view content) {
   std::ofstream out(path, std::ios::binary);
@@ -338,32 +333,15 @@ int cmd_run(int argc, char** argv) {
     if (std::strcmp(argv[i], "--trace-out") == 0) trace_path = argv[i + 1];
     if (std::strcmp(argv[i], "--metrics-out") == 0) metrics_path = argv[i + 1];
     if (std::strcmp(argv[i], "--jobs") == 0) {
-      const long jobs = std::atol(argv[i + 1]);
-      if (jobs < 1) {
-        std::fprintf(stderr, "--jobs wants a positive integer, got %s\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      exec_config.jobs = static_cast<std::size_t>(jobs);
+      numeric_flag("--jobs", argv[i + 1], 1, kMaxJobs, &exec_config.jobs);
     }
     if (std::strcmp(argv[i], "--retries") == 0) {
-      const long retries = std::atol(argv[i + 1]);
-      if (retries < 1) {
-        std::fprintf(stderr, "--retries wants a positive integer, got %s\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      exec_config.retry.attempts = static_cast<int>(retries);
+      numeric_flag("--retries", argv[i + 1], 1, kMaxRetries,
+                   &exec_config.retry.attempts);
     }
     if (std::strcmp(argv[i], "--case-deadline-ms") == 0) {
-      const long deadline = std::atol(argv[i + 1]);
-      if (deadline < 0) {
-        std::fprintf(stderr,
-                     "--case-deadline-ms wants a non-negative integer, got %s\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      exec_config.retry.case_deadline_ms = static_cast<int>(deadline);
+      numeric_flag("--case-deadline-ms", argv[i + 1], 0, kMaxMillis,
+                   &exec_config.retry.case_deadline_ms);
     }
   }
 
@@ -474,8 +452,7 @@ int cmd_stats(int argc, char** argv) {
   hdiff::core::PipelineConfig config;
   for (int i = 2; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0) {
-      config.executor.jobs =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[i + 1])));
+      numeric_flag("--jobs", argv[i + 1], 1, kMaxJobs, &config.executor.jobs);
     }
   }
   hdiff::obs::Registry registry;
@@ -520,7 +497,7 @@ int cmd_stats(int argc, char** argv) {
 // ---- selftest: fault-plan self-test (graceful-degradation proof) ----------
 
 /// Parse "rate=0.3,seed=7,max=1,nth=0,delay=1,kinds=reset+truncate" into a
-/// FaultPlanConfig.  Unknown keys are rejected.
+/// FaultPlanConfig.  Unknown keys and malformed values are rejected.
 bool parse_fault_plan(std::string_view spec,
                       hdiff::net::FaultPlanConfig* out) {
   std::stringstream ss{std::string(spec)};
@@ -529,21 +506,25 @@ bool parse_fault_plan(std::string_view spec,
     const std::size_t eq = item.find('=');
     if (eq == std::string::npos) return false;
     const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
+    const std::string flag = "--fault-plan " + key;
+    const char* value = item.c_str() + eq + 1;
     if (key == "rate") {
-      out->rate = std::atof(value.c_str());
+      char* end = nullptr;
+      out->rate = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !(out->rate >= 0 && out->rate <= 1))
+        return false;
     } else if (key == "seed") {
-      out->seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      numeric_flag(flag.c_str(), value, 0,
+                   std::numeric_limits<std::uint64_t>::max(), &out->seed);
     } else if (key == "max") {
-      out->max_faults_per_site =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
+      numeric_flag(flag.c_str(), value, 0, 1000000, &out->max_faults_per_site);
     } else if (key == "nth") {
-      out->every_nth = static_cast<std::size_t>(std::atoll(value.c_str()));
+      numeric_flag(flag.c_str(), value, 0, 1000000, &out->every_nth);
     } else if (key == "delay") {
-      out->delay_ms = std::atoi(value.c_str());
+      numeric_flag(flag.c_str(), value, 0, kMaxMillis, &out->delay_ms);
     } else if (key == "kinds") {
       out->kinds.clear();
-      std::stringstream ks{value};
+      std::stringstream ks{std::string(value)};
       std::string kind;
       while (std::getline(ks, kind, '+')) {
         if (kind == "reset") out->kinds.push_back(hdiff::net::FaultKind::kReset);
@@ -611,312 +592,6 @@ bool findings_identical(const hdiff::core::DetectionResult& a,
          a.vector_hits == b.vector_hits;
 }
 
-/// `selftest --trace`: prove observability never perturbs findings.  Runs
-/// the pipeline once with obs fully off and once with tracing + metrics
-/// fully on, and asserts the findings are byte-identical (the obs layer
-/// only reads).  Also sanity-checks that the traced run actually produced
-/// per-stage spans and executor metrics.
-int selftest_trace(hdiff::core::PipelineConfig config) {
-  hdiff::core::Pipeline baseline_pipeline(config);
-  std::printf("obs-off reference run...\n");
-  hdiff::core::PipelineResult baseline = baseline_pipeline.run();
-
-  hdiff::obs::Registry registry;
-  hdiff::obs::TraceSink sink;
-  config.obs.metrics = &registry;
-  config.obs.trace = &sink;
-  hdiff::core::Pipeline traced_pipeline(config);
-  std::printf("traced run (metrics + spans)...\n");
-  hdiff::core::PipelineResult traced = traced_pipeline.run();
-
-  if (!findings_identical(baseline.findings, traced.findings)) {
-    std::printf("selftest FAILED: findings differ with observability on\n");
-    return 1;
-  }
-  const std::string trace_json = sink.render_chrome_json();
-  std::size_t missing = 0;
-  for (const char* span : {"\"analyze\"", "\"differential\"", "\"case\"",
-                           "\"send->proxy\"", "\"direct\""}) {
-    if (trace_json.find(span) == std::string::npos) {
-      std::printf("selftest FAILED: trace has no %s span\n", span);
-      ++missing;
-    }
-  }
-  if (registry.counter("hdiff_executor_cases_total").value() !=
-      traced.exec_stats.cases) {
-    std::printf("selftest FAILED: hdiff_executor_cases_total != cases run\n");
-    ++missing;
-  }
-  if (missing > 0) return 1;
-  std::printf(
-      "selftest PASSED: findings byte-identical with observability on and "
-      "off (%zu trace events, %zu cases)\n",
-      sink.event_count(), traced.exec_stats.cases);
-  return 0;
-}
-
-// ---- selftest --views: view-parse vs frozen-reference parity --------------
-//
-// The owned lexers are now thin materializing wrappers over the zero-copy
-// view parsers (http/view.h); http::reference keeps a verbatim copy of the
-// pre-view implementation as a differential oracle.  This self-test drives
-// a corpus of handcrafted edge cases, the Table II probe set, and
-// deterministic fuzz mutants through both and asserts every observable
-// field is byte-identical.
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (unsigned char c : s) {
-    if (c >= 0x20 && c < 0x7f && c != '\\') {
-      out += static_cast<char>(c);
-    } else {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\x%02x", c);
-      out += buf;
-    }
-  }
-}
-
-std::string dump_headers(const std::vector<hdiff::http::RawHeader>& headers) {
-  std::string out;
-  for (const auto& h : headers) {
-    out += "  [";
-    append_escaped(out, h.name);
-    out += "|";
-    append_escaped(out, h.value);
-    out += "|";
-    append_escaped(out, h.raw_line);
-    out += "|" + hdiff::http::describe_anomalies(h.anomalies) + "|" +
-           h.normalized_name() + "]\n";
-  }
-  return out;
-}
-
-std::string dump_request(const hdiff::http::RawRequest& r) {
-  std::string out = "line[";
-  append_escaped(out, r.line.method_token);
-  out += "|";
-  append_escaped(out, r.line.target);
-  out += "|";
-  append_escaped(out, r.line.version_token);
-  out += "|";
-  append_escaped(out, r.line.raw);
-  out += "|" + hdiff::http::describe_anomalies(r.line.anomalies) + "]\n";
-  out += dump_headers(r.headers);
-  out += "after[";
-  append_escaped(out, r.after_headers);
-  out += "] anomalies=" + hdiff::http::describe_anomalies(r.anomalies);
-  return out;
-}
-
-std::string dump_response(const hdiff::http::RawResponse& r) {
-  std::string out = "status[" + hdiff::http::to_string(r.version) + "|" +
-                    std::to_string(r.status) + "|";
-  append_escaped(out, r.reason);
-  out += "]\n";
-  out += dump_headers(r.headers);
-  out += "after[";
-  append_escaped(out, r.after_headers);
-  out += "] anomalies=" + hdiff::http::describe_anomalies(r.anomalies);
-  return out;
-}
-
-std::string dump_framing(const hdiff::http::ResponseFraming& f) {
-  std::string out = "has_body=" + std::to_string(f.has_body) +
-                    " chunked=" + std::to_string(f.chunked) + " cl=";
-  out += f.content_length ? std::to_string(*f.content_length) : "-";
-  out += " until_close=" + std::to_string(f.until_close);
-  return out;
-}
-
-std::string dump_framed(const hdiff::http::FramedResponse& f) {
-  std::string out = dump_response(f.head) + "\nbody[";
-  append_escaped(out, f.body);
-  out += "] leftover[";
-  append_escaped(out, f.leftover);
-  out += "] complete=" + std::to_string(f.complete) +
-         " interim=" + std::to_string(f.interim);
-  return out;
-}
-
-std::string dump_chunk(const hdiff::http::ChunkResult& c) {
-  std::string out = "ok=" + std::to_string(c.ok) +
-                    " incomplete=" + std::to_string(c.incomplete) +
-                    " overflow=" + std::to_string(c.size_overflowed) +
-                    " nul=" + std::to_string(c.saw_nul) + " body[";
-  append_escaped(out, c.body);
-  out += "] leftover[";
-  append_escaped(out, c.leftover);
-  out += "] error[" + c.error + "] sizes=";
-  for (auto s : c.chunk_sizes) out += std::to_string(s) + ",";
-  return out;
-}
-
-std::vector<std::string> view_parity_corpus() {
-  std::vector<std::string> corpus = {
-      "",
-      "\r\n",
-      "GET / HTTP/1.1\r\nHost: a\r\n\r\n",
-      "GET /\xe2\x80\xa8/u HTTP/1.1\r\nHost: a\r\n\r\n",  // unicode splice
-      "POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 5\r\n\r\nhello",
-      "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
-      "5\r\nhello\r\n0\r\n\r\nGET /next HTTP/1.1\r\n\r\n",
-      "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
-      "5;ext=1\r\nhello\r\n0\r\nTrailer: t\r\n\r\n",
-      "GET / HTTP/1.1\nHost: bare-lf\n\n",
-      "GET / HTTP/1.1\r\nHost: a\r\n Folded: continuation\r\n\r\n",
-      "GET / HTTP/1.1\r\nX: first\r\n\tsecond\r\n\tthird\r\n\r\n",
-      "GET / HTTP/1.1\r\nBad Name: v\r\nName : ws-colon\r\n\r\n",
-      "GET / HTTP/1.1\r\nNoColonHere\r\n: emptyname\r\n\r\n",
-      "GET  /  HTTP/1.1 extra parts\r\n\r\n",
-      "GET /\r\n\r\n",              // 0.9 form
-      "GET / HTTP/9.9.9\r\n\r\n",   // malformed version
-      "GET / HTTP/1.1\r\nTrunc",    // truncated headers
-      std::string("GET /\0nul HTTP/1.1\r\nH: a\0b\r\n\r\n", 33),
-      "GET /\x80\xff HTTP/1.1\r\nH\x81: v\xfe\r\n\r\n",
-      "GET / HTTP/1.1\r\nCr\rinside: v\r\n\r\n",
-      "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabcDEF",
-      "HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n"
-      "Content-Length: 0\r\n\r\n",
-      "HTTP/1.1 204 No Content\r\nContent-Length: 9\r\n\r\nleftover!",
-      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
-      "3\r\nabc\r\n0\r\n\r\nrest",
-      "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n"
-      "0\r\n\r\n",
-      "HTTP/1.1 200 OK\r\nFolded:\r\n chunked\r\n\r\nbody",
-      "HTTP/1.1 304 Not Modified\r\n\r\n",
-      "HTTP/2.0 200 OK\r\n\r\nuntil-close body",
-      "NOTHTTP 200 OK\r\n\r\n",
-      "5\r\nhello\r\n0\r\n\r\n",   // bare chunked stream
-      "5\r\nhel\0o\r\n0\r\n\r\n",  // NUL in chunk-data
-      "ff5\r\nshort\r\n",          // incomplete chunk
-      "zz\r\njunk\r\n0\r\n\r\n",   // bad size line
-      "ffffffffffffffffffff\r\nx\r\n0\r\n\r\n",  // size overflow
-  };
-  for (const hdiff::core::TestCase& tc : hdiff::core::verification_probes()) {
-    corpus.push_back(tc.raw);
-  }
-  // Deterministic fuzz mutants: splice random edits into the handcrafted
-  // templates with a fixed LCG, so every run exercises the same inputs.
-  const std::size_t templates = corpus.size();
-  std::uint64_t state = 0x5deece66dull;
-  const auto next = [&state]() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<std::uint32_t>(state >> 33);
-  };
-  const char alphabet[] = "\r\n\t :;,/\x00\x80\xff\x0bGEThost01af";
-  for (int i = 0; i < 600; ++i) {
-    std::string m = corpus[next() % templates];
-    const int edits = 1 + static_cast<int>(next() % 4);
-    for (int e = 0; e < edits; ++e) {
-      const char c = alphabet[next() % (sizeof alphabet - 1)];
-      switch (next() % 3) {
-        case 0:  // replace
-          if (!m.empty()) m[next() % m.size()] = c;
-          break;
-        case 1:  // insert
-          m.insert(m.begin() + static_cast<long>(next() % (m.size() + 1)), c);
-          break;
-        default:  // delete
-          if (!m.empty()) m.erase(next() % m.size(), 1);
-          break;
-      }
-    }
-    corpus.push_back(std::move(m));
-  }
-  for (int i = 0; i < 100; ++i) {  // pure-random byte soup
-    std::string m(next() % 160, '\0');
-    for (char& c : m) c = static_cast<char>(next() % 256);
-    corpus.push_back(std::move(m));
-  }
-  return corpus;
-}
-
-int selftest_views() {
-  namespace http = hdiff::http;
-  namespace ref = hdiff::http::reference;
-  const std::vector<std::string> corpus = view_parity_corpus();
-  const std::vector<http::ChunkPolicy> policies = {
-      {},
-      {.nul_terminates_body = true},
-      {.lenient_size_line = true,
-       .require_crlf_after_data = false,
-       .allow_bare_lf = true},
-      {.wrapping_size = true, .wrap_bits = 16, .reject_nul_in_data = true},
-  };
-  std::size_t checks = 0;
-  std::size_t failures = 0;
-  const auto expect = [&](bool ok, const char* what, const std::string& in,
-                          const std::string& got, const std::string& want) {
-    ++checks;
-    if (ok) return;
-    ++failures;
-    if (failures > 8) return;  // keep the report readable
-    std::string shown;
-    append_escaped(shown, std::string_view(in).substr(0, 96));
-    std::printf("MISMATCH %s on input [%s]\n--- view-backed:\n%s\n"
-                "--- reference:\n%s\n",
-                what, shown.c_str(), got.c_str(), want.c_str());
-  };
-  std::string scratch;
-  for (const std::string& in : corpus) {
-    const http::RawRequest want_req = ref::lex_request(in);
-    {
-      const std::string got = dump_request(http::lex_request(in));
-      const std::string want = dump_request(want_req);
-      expect(got == want, "lex_request", in, got, want);
-    }
-    expect(http::sniff_method(in) ==
-               http::method_from_token(want_req.line.method_token),
-           "sniff_method", in, std::string(http::to_string(
-                                   http::sniff_method(in))),
-           want_req.line.method_token);
-    {
-      const std::string got = dump_response(http::lex_response(in));
-      const std::string want = dump_response(ref::lex_response(in));
-      expect(got == want, "lex_response", in, got, want);
-    }
-    for (http::Method m : {http::Method::kGet, http::Method::kHead}) {
-      const hdiff::http::FramedResponse want_framed =
-          ref::frame_first_response(in, m);
-      {
-        const std::string got = dump_framed(http::frame_first_response(in, m));
-        const std::string want = dump_framed(want_framed);
-        expect(got == want, "frame_first_response", in, got, want);
-      }
-      {
-        http::ResponseView view;
-        http::parse_response_view(in, view);
-        const std::string got =
-            dump_framing(http::response_framing(view, m, scratch));
-        const std::string want =
-            dump_framing(ref::response_framing(ref::lex_response(in), m));
-        expect(got == want, "response_framing(view)", in, got, want);
-      }
-      expect(http::probe_first_response(in, m).complete == want_framed.complete,
-             "probe_first_response", in,
-             std::to_string(http::probe_first_response(in, m).complete),
-             std::to_string(want_framed.complete));
-    }
-    for (const http::ChunkPolicy& policy : policies) {
-      const std::string got = dump_chunk(http::decode_chunked(in, policy));
-      const std::string want = dump_chunk(ref::decode_chunked(in, policy));
-      expect(got == want, "decode_chunked", in, got, want);
-    }
-  }
-  if (failures > 0) {
-    std::printf("selftest FAILED: %zu/%zu view-parity checks diverged\n",
-                failures, checks);
-    return 1;
-  }
-  std::printf(
-      "selftest PASSED: view parse byte-identical to the reference lexer "
-      "(%zu inputs, %zu checks)\n",
-      corpus.size(), checks);
-  return 0;
-}
-
-int selftest_campaign(std::size_t jobs);  // defined with the campaign CLI
-int selftest_stream(std::size_t jobs);    // defined with the campaign CLI
 int selftest_serve(std::size_t jobs);     // defined with the serve CLI
 int selftest_serve_soak(int seconds, std::size_t jobs);
 
@@ -924,24 +599,9 @@ int cmd_selftest(int argc, char** argv) {
   hdiff::net::FaultPlanConfig plan_config;
   plan_config.rate = 0.3;
   plan_config.max_faults_per_site = 1;
-  bool trace_mode = false;
-  bool campaign_mode = false;
-  bool stream_mode = false;
-  bool views_mode = false;
   bool serve_mode = false;
   bool serve_soak_mode = false;
   int soak_seconds = 60;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) trace_mode = true;
-    if (std::strcmp(argv[i], "--campaign") == 0) campaign_mode = true;
-    if (std::strcmp(argv[i], "--stream") == 0) stream_mode = true;
-    if (std::strcmp(argv[i], "--views") == 0) views_mode = true;
-    if (std::strcmp(argv[i], "--serve") == 0) serve_mode = true;
-    if (std::strcmp(argv[i], "--serve-soak") == 0) serve_soak_mode = true;
-    if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      soak_seconds = std::max(1, std::atoi(argv[i + 1]));
-    }
-  }
   hdiff::core::PipelineConfig config;
   // A case can touch many distinct victim sites (one per model leg), so the
   // default retry budget is generous: with the default one-fault-per-site
@@ -951,20 +611,26 @@ int cmd_selftest(int argc, char** argv) {
   // slow the self-test down without exercising anything.
   config.executor.retry.backoff_base_ms = 0;
   config.executor.retry.backoff_max_ms = 0;
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--fault-plan") == 0) {
-      if (!parse_fault_plan(argv[i + 1], &plan_config)) {
-        std::fprintf(stderr, "bad --fault-plan spec %s\n", argv[i + 1]);
+  for (int i = 2; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--serve") == 0) {
+      serve_mode = true;
+    } else if (std::strcmp(argv[i], "--serve-soak") == 0) {
+      serve_soak_mode = true;
+    } else if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
+      numeric_flag("--seconds", argv[++i], 1, 86400, &soak_seconds);
+    } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
+      if (!parse_fault_plan(argv[++i], &plan_config)) {
+        std::fprintf(stderr, "bad --fault-plan spec %s\n", argv[i]);
         return 2;
       }
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      config.executor.jobs =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[i + 1])));
-    }
-    if (std::strcmp(argv[i], "--retries") == 0) {
-      config.executor.retry.attempts =
-          std::max(1, std::atoi(argv[i + 1]));
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      numeric_flag("--jobs", argv[++i], 1, kMaxJobs, &config.executor.jobs);
+    } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
+      numeric_flag("--retries", argv[++i], 1, kMaxRetries,
+                   &config.executor.retry.attempts);
+    } else {
+      std::fprintf(stderr, "unknown selftest option %s\n", argv[i]);
+      return 2;
     }
   }
 
@@ -972,10 +638,6 @@ int cmd_selftest(int argc, char** argv) {
     return selftest_serve_soak(soak_seconds, config.executor.jobs);
   }
   if (serve_mode) return selftest_serve(config.executor.jobs);
-  if (campaign_mode) return selftest_campaign(config.executor.jobs);
-  if (stream_mode) return selftest_stream(config.executor.jobs);
-  if (trace_mode) return selftest_trace(std::move(config));
-  if (views_mode) return selftest_views();
 
   hdiff::core::Pipeline pipeline(config);
   auto fleet = hdiff::impls::make_all_implementations();
@@ -1057,13 +719,7 @@ int cmd_lint(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--jobs wants a positive integer, got %s\n",
-                     argv[i]);
-        return 2;
-      }
-      jobs = static_cast<std::size_t>(n);
+      numeric_flag("--jobs", argv[++i], 1, kMaxJobs, &jobs);
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown lint option %s\n", argv[i]);
       return 2;
@@ -1214,29 +870,12 @@ int cmd_campaign(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--rounds wants a positive integer, got %s\n",
-                     argv[i]);
-        return 2;
-      }
-      config.rounds = static_cast<std::size_t>(n);
+      numeric_flag("--rounds", argv[++i], 1, kMaxRounds, &config.rounds);
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--budget wants a positive integer, got %s\n",
-                     argv[i]);
-        return 2;
-      }
-      config.budget_per_round = static_cast<std::size_t>(n);
+      numeric_flag("--budget", argv[++i], 1, kMaxBudget,
+                   &config.budget_per_round);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--jobs wants a positive integer, got %s\n",
-                     argv[i]);
-        return 2;
-      }
-      config.executor.jobs = static_cast<std::size_t>(n);
+      numeric_flag("--jobs", argv[++i], 1, kMaxJobs, &config.executor.jobs);
     } else {
       std::fprintf(stderr, "unknown campaign option %s\n", argv[i]);
       return 2;
@@ -1323,321 +962,6 @@ std::string corpus_image(const std::string& state_dir) {
   return image;
 }
 
-/// `selftest --campaign`: the acceptance proof for the campaign engine.
-/// Runs a 2-round mini campaign (probe bootstrap) twice — once
-/// uninterrupted, once killed in the worst crash window (the round's
-/// corpus files and findings lines on disk, checkpoint not yet renamed) and
-/// resumed — and asserts:
-///   1. the campaign's findings are a superset of the one-shot findings;
-///   2. every fingerprint appears exactly once in the findings DB;
-///   3. state, findings and corpus files of the resumed run are
-///      byte-identical to the uninterrupted run's.
-int selftest_campaign(std::size_t jobs) {
-  namespace fs = std::filesystem;
-  namespace camp = hdiff::campaign;
-
-  const fs::path root =
-      fs::temp_directory_path() /
-      ("hdiff-selftest-campaign-" + std::to_string(::getpid()));
-  std::error_code ec;
-  fs::remove_all(root, ec);
-
-  auto base_config = [&](const std::string& leaf) {
-    camp::CampaignConfig config;
-    config.state_dir = (root / leaf).string();
-    config.rounds = 2;
-    config.budget_per_round = 24;
-    config.minimize.max_steps = 128;
-    config.executor.jobs = jobs == 0 ? 1 : jobs;
-    config.bootstrap = hdiff::core::verification_probes();
-    // Coverage on (probe bootstrap = empty cone): the byte-identity proof
-    // below covers the checkpoint's coverage block and the coverage-biased
-    // schedule too.
-    config.coverage = campaign_coverage_plan(false);
-    return config;
-  };
-
-  auto fleet = hdiff::impls::make_all_implementations();
-  std::printf("uninterrupted 2-round mini campaign...\n");
-  camp::CampaignEngine uninterrupted(base_config("uninterrupted"));
-  camp::CampaignReport ref = uninterrupted.run(fleet);
-  if (!ref.error.empty()) {
-    std::printf("selftest FAILED: %s\n", ref.error.c_str());
-    return 1;
-  }
-  print_campaign_report(ref);
-
-  camp::StateStore ref_store(base_config("uninterrupted").state_dir);
-  if (!ref_store.load()) {
-    std::printf("selftest FAILED: %s\n", ref_store.error().c_str());
-    return 1;
-  }
-
-  // 1. Superset of the one-shot findings.  Round 0 executed the exact
-  // one-shot case list; its accumulated DetectionResult IS the one-shot
-  // result.  Rebuild pair/violation keys from the findings DB's normalized
-  // vectors and check every one-shot key is present.
-  std::set<std::string> campaign_pairs, campaign_violations;
-  std::set<std::string> fingerprints;
-  for (const auto& f : ref_store.findings) {
-    fingerprints.insert(f.fingerprint);
-    for (const auto& component : f.vector) {
-      const std::size_t arrow = component.find("->");
-      if (f.detector == "sr-violation") {
-        campaign_violations.insert(component);
-      } else if (arrow != std::string::npos) {
-        campaign_pairs.insert(component.substr(0, arrow) + "|" +
-                              component.substr(arrow + 2) + "|" + f.detector);
-      }
-    }
-  }
-  std::size_t missing = 0;
-  for (const auto& key : pair_keys(ref.bootstrap_findings)) {
-    if (!campaign_pairs.count(key)) {
-      std::printf("selftest FAILED: one-shot pair %s missing\n", key.c_str());
-      ++missing;
-    }
-  }
-  for (const auto& key : violation_keys(ref.bootstrap_findings)) {
-    if (!campaign_violations.count(key)) {
-      std::printf("selftest FAILED: one-shot violation %s missing\n",
-                  key.c_str());
-      ++missing;
-    }
-  }
-  if (missing > 0) return 1;
-  std::printf("superset check: %zu one-shot pair(s) + %zu violation(s) all "
-              "present in the findings DB\n",
-              pair_keys(ref.bootstrap_findings).size(),
-              violation_keys(ref.bootstrap_findings).size());
-
-  // 2. Each fingerprint reported exactly once.
-  if (fingerprints.size() != ref_store.findings.size()) {
-    std::printf("selftest FAILED: %zu findings but %zu distinct "
-                "fingerprints\n",
-                ref_store.findings.size(), fingerprints.size());
-    return 1;
-  }
-  std::printf("dedup check: %zu finding(s), all fingerprints unique\n",
-              ref_store.findings.size());
-
-  // 3. Kill in the worst window (corpus files and findings lines written,
-  // checkpoint not yet renamed) and resume; state, findings and corpus
-  // bytes must match the uninterrupted run exactly.
-  std::printf("crashed run (kill after round 1's findings append)...\n");
-  camp::CampaignConfig crash_config = base_config("resumed");
-  crash_config.crash_after_round = 1;
-  camp::CampaignEngine crashed(std::move(crash_config));
-  camp::CampaignReport crash_report = crashed.run(fleet);
-  if (!crash_report.error.empty() || !crash_report.interrupted) {
-    std::printf("selftest FAILED: crash hook did not fire (%s)\n",
-                crash_report.error.c_str());
-    return 1;
-  }
-  std::printf("resuming...\n");
-  camp::CampaignEngine resumed(base_config("resumed"));
-  camp::CampaignReport resume_report = resumed.run(fleet);
-  if (!resume_report.error.empty() || !resume_report.resumed) {
-    std::printf("selftest FAILED: resume failed (%s)\n",
-                resume_report.error.c_str());
-    return 1;
-  }
-
-  const camp::StateStore res_store(base_config("resumed").state_dir);
-  int rc = 0;
-  if (read_bytes(ref_store.state_path()) !=
-      read_bytes(res_store.state_path())) {
-    std::printf("selftest FAILED: campaign.state differs after resume\n");
-    rc = 1;
-  }
-  if (read_bytes(ref_store.findings_path()) !=
-      read_bytes(res_store.findings_path())) {
-    std::printf("selftest FAILED: findings.jsonl differs after resume\n");
-    rc = 1;
-  }
-  if (corpus_image(ref_store.state_dir()) !=
-      corpus_image(res_store.state_dir())) {
-    std::printf("selftest FAILED: corpus/ differs after resume\n");
-    rc = 1;
-  }
-  if (rc == 0) {
-    std::printf(
-        "selftest PASSED: resumed state, findings and corpus byte-identical "
-        "to the uninterrupted run (%zu finding(s), %zu corpus entr%s)\n",
-        ref.total_findings, ref.corpus_entries,
-        ref.corpus_entries == 1 ? "y" : "ies");
-    fs::remove_all(root, ec);
-  }
-  return rc;
-}
-
-/// `selftest --stream`: the acceptance proof for the connection-level
-/// stream subsystem.  Runs a seeded 2-round stream campaign
-/// (`--streams`, probe bootstrap) and asserts:
-///   1. at least one `stream-*` finding is filed — a boundary-desync /
-///      queue-poisoning / leftover divergence the single-request pipeline
-///      cannot represent (its detectors never emit stream classes);
-///   2. the `hdiff_stream_*` observability series were populated;
-///   3. state, findings and corpus are byte-identical between `--jobs 1`
-///      and a wide-parallel run (stream cases run on the parallel executor,
-///      merged in case-index order; the schedule is a pure function of the
-///      committed checkpoint);
-///   4. a run killed in the worst crash window after round 1 resumes to
-///      byte-identical state, findings and corpus.
-int selftest_stream(std::size_t jobs) {
-  namespace fs = std::filesystem;
-  namespace camp = hdiff::campaign;
-
-  const fs::path root =
-      fs::temp_directory_path() /
-      ("hdiff-selftest-stream-" + std::to_string(::getpid()));
-  std::error_code ec;
-  fs::remove_all(root, ec);
-
-  auto base_config = [&](const std::string& leaf, std::size_t run_jobs) {
-    camp::CampaignConfig config;
-    config.state_dir = (root / leaf).string();
-    config.rounds = 2;
-    config.budget_per_round = 24;
-    config.minimize.max_steps = 128;
-    config.executor.jobs = run_jobs;
-    config.bootstrap = hdiff::core::verification_probes();
-    config.coverage = campaign_coverage_plan(false);
-    config.streams = true;
-    return config;
-  };
-
-  auto fleet = hdiff::impls::make_all_implementations();
-
-  // Reference run at --jobs 1, with live metrics so the stream series can
-  // be asserted (observability never perturbs findings, per
-  // `selftest --trace`, so instrumenting only this run is sound).
-  std::printf("seeded stream campaign (--jobs 1)...\n");
-  hdiff::obs::Registry registry;
-  camp::CampaignConfig ref_config = base_config("jobs1", 1);
-  ref_config.obs.metrics = &registry;
-  camp::CampaignEngine ref_engine(std::move(ref_config));
-  camp::CampaignReport ref = ref_engine.run(fleet);
-  if (!ref.error.empty()) {
-    std::printf("selftest FAILED: %s\n", ref.error.c_str());
-    return 1;
-  }
-  print_campaign_report(ref);
-
-  camp::StateStore ref_store(base_config("jobs1", 1).state_dir);
-  if (!ref_store.load()) {
-    std::printf("selftest FAILED: %s\n", ref_store.error().c_str());
-    return 1;
-  }
-
-  // 1. A stream-class divergence was discovered.
-  std::set<std::string> stream_detectors;
-  for (const auto& f : ref_store.findings) {
-    if (f.detector.rfind("stream-", 0) == 0) {
-      stream_detectors.insert(f.detector);
-    }
-  }
-  if (stream_detectors.empty()) {
-    std::printf(
-        "selftest FAILED: no stream-* finding in the findings DB (%zu "
-        "finding(s) total)\n",
-        ref_store.findings.size());
-    return 1;
-  }
-  std::printf("stream findings check: detector class(es) present:");
-  for (const auto& d : stream_detectors) std::printf(" %s", d.c_str());
-  std::printf(" (%zu stream corpus entr%s)\n", ref.stream_entries,
-              ref.stream_entries == 1 ? "y" : "ies");
-
-  // 2. The stream observability series were fed.
-  const std::string exposition = hdiff::obs::render_prometheus(registry);
-  if (exposition.find("hdiff_stream_observations_total") ==
-      std::string::npos) {
-    std::printf(
-        "selftest FAILED: hdiff_stream_observations_total missing from the "
-        "metrics exposition\n");
-    return 1;
-  }
-  std::printf("metrics check: hdiff_stream_* series present\n");
-
-  // 3. Byte-identity across parallelism.
-  const std::size_t wide = jobs < 2 ? 8 : jobs;
-  std::printf("same campaign at --jobs %zu...\n", wide);
-  camp::CampaignEngine wide_engine(base_config("jobsN", wide));
-  camp::CampaignReport wide_report = wide_engine.run(fleet);
-  if (!wide_report.error.empty()) {
-    std::printf("selftest FAILED: %s\n", wide_report.error.c_str());
-    return 1;
-  }
-  const camp::StateStore wide_store(base_config("jobsN", wide).state_dir);
-  int rc = 0;
-  if (read_bytes(ref_store.state_path()) !=
-      read_bytes(wide_store.state_path())) {
-    std::printf("selftest FAILED: campaign.state differs across --jobs\n");
-    rc = 1;
-  }
-  if (read_bytes(ref_store.findings_path()) !=
-      read_bytes(wide_store.findings_path())) {
-    std::printf("selftest FAILED: findings.jsonl differs across --jobs\n");
-    rc = 1;
-  }
-  if (corpus_image(ref_store.state_dir()) !=
-      corpus_image(wide_store.state_dir())) {
-    std::printf("selftest FAILED: corpus/ differs across --jobs\n");
-    rc = 1;
-  }
-  if (rc != 0) return rc;
-  std::printf("parallelism check: state, findings and corpus byte-identical "
-              "at --jobs 1 and --jobs %zu\n",
-              wide);
-
-  // 4. Kill in the worst window (corpus files and findings lines written,
-  // checkpoint not yet renamed) and resume; bytes must match the
-  // uninterrupted run exactly.
-  std::printf("crashed run (kill after round 1's findings append)...\n");
-  camp::CampaignConfig crash_config = base_config("resumed", 1);
-  crash_config.crash_after_round = 1;
-  camp::CampaignEngine crashed(std::move(crash_config));
-  camp::CampaignReport crash_report = crashed.run(fleet);
-  if (!crash_report.error.empty() || !crash_report.interrupted) {
-    std::printf("selftest FAILED: crash hook did not fire (%s)\n",
-                crash_report.error.c_str());
-    return 1;
-  }
-  std::printf("resuming...\n");
-  camp::CampaignEngine resumed(base_config("resumed", 1));
-  camp::CampaignReport resume_report = resumed.run(fleet);
-  if (!resume_report.error.empty() || !resume_report.resumed) {
-    std::printf("selftest FAILED: resume failed (%s)\n",
-                resume_report.error.c_str());
-    return 1;
-  }
-  const camp::StateStore res_store(base_config("resumed", 1).state_dir);
-  if (read_bytes(ref_store.state_path()) !=
-      read_bytes(res_store.state_path())) {
-    std::printf("selftest FAILED: campaign.state differs after resume\n");
-    rc = 1;
-  }
-  if (read_bytes(ref_store.findings_path()) !=
-      read_bytes(res_store.findings_path())) {
-    std::printf("selftest FAILED: findings.jsonl differs after resume\n");
-    rc = 1;
-  }
-  if (corpus_image(ref_store.state_dir()) !=
-      corpus_image(res_store.state_dir())) {
-    std::printf("selftest FAILED: corpus/ differs after resume\n");
-    rc = 1;
-  }
-  if (rc == 0) {
-    std::printf(
-        "selftest PASSED: %zu stream detector class(es) filed; state, "
-        "findings and corpus byte-identical across --jobs and crash-resume\n",
-        stream_detectors.size());
-    fs::remove_all(root, ec);
-  }
-  return rc;
-}
-
 // ---- hdiff serve: supervised, crash-tolerant campaign daemon --------------
 
 /// SIGTERM/SIGINT set this; the supervisor polls it and drains gracefully
@@ -1675,22 +999,22 @@ int cmd_serve_worker(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
       options.config.state_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      options.config.budget_per_round =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
+      numeric_flag("--budget", argv[++i], 1, kMaxBudget,
+                   &options.config.budget_per_round);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      options.config.executor.jobs =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
+      numeric_flag("--jobs", argv[++i], 1, kMaxJobs,
+                   &options.config.executor.jobs);
     } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      options.shard = static_cast<std::size_t>(std::atol(argv[++i]));
+      numeric_flag("--shard", argv[++i], 0, kMaxShards - 1, &options.shard);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      options.shards =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
+      numeric_flag("--shards", argv[++i], 1, kMaxShards, &options.shards);
     } else if (std::strcmp(argv[i], "--round") == 0 && i + 1 < argc) {
-      options.round = static_cast<std::size_t>(std::atol(argv[++i]));
+      numeric_flag("--round", argv[++i], 0, kMaxRounds, &options.round);
     } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 && i + 1 < argc) {
-      options.heartbeat_interval_ms = std::max(1, std::atoi(argv[++i]));
+      numeric_flag("--heartbeat-ms", argv[++i], 1, kMaxHeartbeatMs,
+                   &options.heartbeat_interval_ms);
     } else if (std::strcmp(argv[i], "--heartbeat-fd") == 0 && i + 1 < argc) {
-      options.heartbeat_fd = std::atoi(argv[++i]);
+      numeric_flag("--heartbeat-fd", argv[++i], 0, 1023, &options.heartbeat_fd);
     } else if (std::strcmp(argv[i], "--export-metrics") == 0) {
       options.export_metrics = true;
     } else if (std::strcmp(argv[i], "--export-trace") == 0) {
@@ -1710,13 +1034,14 @@ int cmd_serve_worker(int argc, char** argv) {
   return hdiff::serve::run_worker(options, fleet);
 }
 
-bool parse_round_shard(const char* spec, std::size_t* round,
+bool parse_round_shard(std::string_view spec, std::size_t* round,
                        std::size_t* shard) {
-  const char* colon = std::strchr(spec, ':');
-  if (colon == nullptr) return false;
-  *round = static_cast<std::size_t>(std::atol(spec));
-  *shard = static_cast<std::size_t>(std::atol(colon + 1));
-  return true;
+  const std::size_t colon = spec.find(':');
+  return colon != std::string_view::npos &&
+         hdiff::core::parse_dec(spec.substr(0, colon), round) &&
+         *round <= kMaxRounds &&
+         hdiff::core::parse_dec(spec.substr(colon + 1), shard) &&
+         *shard < kMaxShards;
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -1748,19 +1073,18 @@ int cmd_serve(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
       config.campaign.state_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      config.campaign.rounds =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
+      numeric_flag("--rounds", argv[++i], 1, kMaxRounds,
+                   &config.campaign.rounds);
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      config.campaign.budget_per_round =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
+      numeric_flag("--budget", argv[++i], 1, kMaxBudget,
+                   &config.campaign.budget_per_round);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      config.campaign.executor.jobs =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
+      numeric_flag("--jobs", argv[++i], 1, kMaxJobs,
+                   &config.campaign.executor.jobs);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      config.shards =
-          static_cast<std::size_t>(std::max(1L, std::atol(argv[++i])));
+      numeric_flag("--shards", argv[++i], 1, kMaxShards, &config.shards);
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      config.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      numeric_flag("--port", argv[++i], 0, 65535, &config.port);
     } else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) {
       port_file = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
@@ -1768,10 +1092,12 @@ int cmd_serve(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 && i + 1 < argc) {
-      config.heartbeat_interval_ms = std::max(1, std::atoi(argv[++i]));
+      numeric_flag("--heartbeat-ms", argv[++i], 1, kMaxHeartbeatMs,
+                   &config.heartbeat_interval_ms);
     } else if (std::strcmp(argv[i], "--quarantine-after") == 0 &&
                i + 1 < argc) {
-      config.quarantine_after = std::max(1, std::atoi(argv[++i]));
+      numeric_flag("--quarantine-after", argv[++i], 1, 1000000,
+                   &config.quarantine_after);
     } else if (std::strcmp(argv[i], "--chaos-kill") == 0 && i + 1 < argc) {
       hdiff::serve::ChaosAction action;  // test hook: R:S = round:shard
       if (!parse_round_shard(argv[++i], &action.round, &action.shard)) {
@@ -2012,9 +1338,9 @@ int cmd_tail(int argc, char** argv) {
   bool once = false;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      numeric_flag("--port", argv[++i], 1, 65535, &port);
     } else if (std::strcmp(argv[i], "--interval-ms") == 0 && i + 1 < argc) {
-      interval_ms = std::max(10, std::atoi(argv[++i]));
+      numeric_flag("--interval-ms", argv[++i], 10, kMaxMillis, &interval_ms);
     } else if (std::strcmp(argv[i], "--once") == 0) {
       once = true;
     } else {
