@@ -55,6 +55,7 @@ class Runner {
       : config_(config),
         listener_(listener),
         store_(config.campaign.state_dir),
+        mutation_sig_(campaign::campaign_mutation_sig(config.campaign)),
         chain_(net::Chain::from_fleet(fleet)),
         sobs_(obs::ServeObs::from(config.obs)),
         own_fleet_(config.obs.metrics),
@@ -140,6 +141,7 @@ class Runner {
   const ServeConfig& config_;
   net::TcpListener& listener_;
   campaign::StateStore store_;
+  const std::string mutation_sig_;  ///< passed to every worker
   net::Chain chain_;
   core::ObservationMemo memo_;
   net::VerdictCache verdicts_;
@@ -334,6 +336,12 @@ bool Runner::spawn_worker(std::size_t shard, std::size_t round) {
   args.push_back(std::to_string(config_.heartbeat_interval_ms));
   args.push_back("--heartbeat-fd");
   args.push_back("3");
+  // The worker checks its ask against these two signatures, so after round
+  // 0 it need not rebuild the bootstrap corpus to recompute the full one.
+  args.push_back("--config-sig");
+  args.push_back(store_.config_sig);
+  args.push_back("--mutation-sig");
+  args.push_back(mutation_sig_);
   // Observability export mirrors the supervisor's own configuration (these
   // flags never enter the campaign config signature — obs only reads).
   if (fleet_->enabled()) args.push_back("--export-metrics");

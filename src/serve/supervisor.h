@@ -91,10 +91,11 @@ struct ServeConfig {
   /// is unused; quarantine_after bounds the retries).
   net::RetryPolicy restart{.backoff_base_ms = 2, .backoff_max_ms = 50};
   /// Worker binary (argv[0] for posix_spawn) — the hdiff CLI itself; the
-  /// supervisor appends the `serve-worker` subcommand and shard geometry.
+  /// supervisor appends the `serve-worker` subcommand, shard geometry and
+  /// the config and mutation signatures the worker checks its ask against.
   std::string worker_binary;
   /// Extra flags reproducing `campaign` for the worker process (e.g.
-  /// "--mini", "--budget", "48").  The worker revalidates via config sig.
+  /// "--mini", "--budget", "48").  The worker revalidates via those sigs.
   std::vector<std::string> worker_args;
   /// Signal-handler drain flag (SIGTERM/SIGINT): when it becomes nonzero
   /// the supervisor finishes the current round, commits and exits 0.

@@ -82,9 +82,15 @@ int run_worker(
   // committed checkpoint AND built it from the same config.  A mismatch is
   // a stale ask (supervisor committed while this worker was queued, or the
   // daemon was restarted with different flags): report it as such so the
-  // supervisor re-plans instead of retrying a doomed worker.
-  if (store.config_sig != campaign::campaign_config_sig(options.config) ||
-      store.rounds_completed != options.round) {
+  // supervisor re-plans instead of retrying a doomed worker.  Round 0 plans
+  // from the bootstrap, so it also proves the bootstrap it built; later
+  // rounds plan only from what the mutation signature covers.
+  if (store.config_sig != options.config_sig ||
+      campaign::campaign_mutation_sig(options.config) !=
+          options.mutation_sig ||
+      store.rounds_completed != options.round ||
+      (options.round == 0 &&
+       store.config_sig != campaign::campaign_config_sig(options.config))) {
     return kWorkerStale;
   }
 

@@ -2,13 +2,20 @@
 //
 // A worker is deliberately stateless between invocations — it loads the
 // supervisor's committed checkpoint read-only (no lock, no heal), recomputes
-// the round plan (planning is a pure function of checkpoint + config, so
-// every worker and the supervisor agree on the case list without any
-// coordination), executes only the case indices its shard owns, and
+// the round plan from that checkpoint plus a config the supervisor vouches
+// for (planning is a pure function of checkpoint + config, so every worker
+// and the supervisor agree on the case list without any coordination),
+// executes only the case indices its shard owns, and
 // publishes the outcomes as a durable shard result file (shard.h).  Being
 // killable at any instant is the design center: a SIGKILL loses at most the
 // not-yet-published work of this shard's current round, which the
 // supervisor simply re-runs.
+//
+// Only round 0 plans from the bootstrap corpus, so only a round-0 worker
+// builds it (the full RFC analysis and generation, most of a worker's set-up
+// otherwise).  A later round checks the ask against two signatures the
+// supervisor passes instead: the checkpoint's full config signature, and
+// campaign_mutation_sig, which its own flags must reproduce.
 //
 // Liveness is reported over an inherited pipe: a detached-duty heartbeat
 // thread writes one 'h' byte every interval/2 for as long as the process
@@ -20,6 +27,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "campaign/engine.h"
@@ -36,9 +44,13 @@ enum WorkerExit : int {
 };
 
 struct WorkerOptions {
-  /// Full campaign config; must reproduce the supervisor's exactly
-  /// (validated against the checkpoint's config signature).
+  /// Campaign config rebuilt from the worker's flags.  Its bootstrap is
+  /// read (and must be set) only in round 0.
   campaign::CampaignConfig config;
+  /// The supervisor's campaign_config_sig, which the checkpoint must carry.
+  std::string config_sig;
+  /// The supervisor's campaign_mutation_sig, which `config` must reproduce.
+  std::string mutation_sig;
   std::size_t shard = 0;
   std::size_t shards = 1;
   std::size_t round = 0;

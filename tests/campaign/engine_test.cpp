@@ -444,7 +444,9 @@ TEST_F(EngineTest, WarmPlanEqualsColdPlanFromTheCheckpoint) {
                 : execute_round(config, chain, plan.cases, &memo, &verdicts);
     integrate_round(store, config, round, plan.cases, executed.outcomes,
                     chain, &memo, &verdicts);
-    if (faulted) EXPECT_EQ(store.retry_queue.size(), plan.cases.size());
+    if (faulted) {
+      EXPECT_EQ(store.retry_queue.size(), plan.cases.size());
+    }
     ASSERT_TRUE(store.commit_round(round)) << store.error();
   }
   EXPECT_GT(attributed_replays, 0u);

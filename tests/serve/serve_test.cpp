@@ -93,7 +93,9 @@ TEST(Shard, IndicesPartitionThePlan) {
       ASSERT_LT(idx, planned.size());
       EXPECT_FALSE(owned[idx]) << "index " << idx << " owned twice";
       owned[idx] = true;
-      if (!first) EXPECT_GT(idx, prev) << "indices not ascending";
+      if (!first) {
+        EXPECT_GT(idx, prev) << "indices not ascending";
+      }
       prev = idx;
       first = false;
     }
@@ -588,6 +590,85 @@ TEST(Supervisor, LeftoverShardResultIsReusedNotReexecuted) {
   EXPECT_EQ(slurp(ref_store.findings_path()), slurp(got_store.findings_path()));
   fs::remove_all(dir);
   fs::remove_all(ref_dir);
+}
+
+// ---- worker contract --------------------------------------------------------
+
+/// A small_campaign state dir whose round 0 is committed by a supervisor.
+std::string committed_round0(
+    const std::string& tag,
+    const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet) {
+  const std::string dir = fresh_dir(tag);
+  ServeConfig config;
+  config.campaign = small_campaign(dir);
+  config.campaign.rounds = 0;
+  Supervisor supervisor(config, fleet);
+  EXPECT_TRUE(supervisor.run().error.empty());
+  return dir;
+}
+
+/// What a supervisor over small_campaign(dir) asks of shard 0 of 2.
+WorkerOptions worker_ask(const std::string& dir, std::size_t round) {
+  WorkerOptions options;
+  options.config = small_campaign(dir);
+  options.config_sig = campaign::campaign_config_sig(options.config);
+  options.mutation_sig = campaign::campaign_mutation_sig(options.config);
+  options.shards = 2;
+  options.round = round;
+  return options;
+}
+
+TEST(Worker, LaterRoundWithoutBootstrapPublishesTheSameResult) {
+  const auto fleet = impls::make_all_implementations();
+  const std::string dir = committed_round0("worker-lean", fleet);
+  const std::string path = campaign::shard_result_path(dir, 1, 0);
+
+  ASSERT_EQ(run_worker(worker_ask(dir, 1), fleet), kWorkerOk);
+  const std::string with_bootstrap = slurp(path);
+  ASSERT_FALSE(with_bootstrap.empty());
+  fs::remove(path);
+
+  WorkerOptions lean = worker_ask(dir, 1);
+  lean.config.bootstrap.clear();
+  ASSERT_EQ(run_worker(lean, fleet), kWorkerOk);
+  EXPECT_EQ(slurp(path), with_bootstrap);
+  fs::remove_all(dir);
+}
+
+TEST(Worker, StaleAsksAreRefusedAndPublishNothing) {
+  const auto fleet = impls::make_all_implementations();
+  const auto expect_stale = [&](const WorkerOptions& options,
+                                const char* what) {
+    EXPECT_EQ(run_worker(options, fleet), kWorkerStale) << what;
+    EXPECT_FALSE(fs::exists(campaign::shard_result_path(
+        options.config.state_dir, options.round, options.shard)))
+        << what;
+  };
+
+  const std::string dir = committed_round0("worker-stale", fleet);
+  WorkerOptions budget = worker_ask(dir, 1);
+  budget.config.bootstrap.clear();
+  budget.config.budget_per_round += 1;
+  expect_stale(budget, "different --budget");
+  WorkerOptions foreign = worker_ask(dir, 1);
+  foreign.config_sig = "0123456789abcdef";
+  expect_stale(foreign, "foreign checkpoint signature");
+  WorkerOptions ahead = worker_ask(dir, 2);
+  expect_stale(ahead, "round not yet committed");
+  fs::remove_all(dir);
+
+  // Round 0 plans from the bootstrap, so it must be the one the checkpoint
+  // was made from.
+  const std::string fresh = fresh_dir("worker-round0");
+  campaign::StateStore store(fresh);
+  ASSERT_TRUE(store.init(
+      campaign::campaign_config_sig(small_campaign(fresh))))
+      << store.error();
+  WorkerOptions other = worker_ask(fresh, 0);
+  other.config.bootstrap.pop_back();
+  expect_stale(other, "round 0 with a different bootstrap");
+  EXPECT_EQ(run_worker(worker_ask(fresh, 0), fleet), kWorkerOk);
+  fs::remove_all(fresh);
 }
 
 // ---- cross-process observability ------------------------------------------

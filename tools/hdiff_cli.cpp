@@ -980,9 +980,23 @@ std::string self_exe_path() {
   return "hdiff";
 }
 
+/// A supervisor-passed signature: exactly 16 lowercase hex digits (hex64),
+/// else a usage error naming the flag.
+void sig_flag(const char* flag, const char* value, std::string* out) {
+  const std::string_view v(value);
+  if (v.size() != 16 ||
+      v.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
+    std::fprintf(stderr, "%s wants 16 lowercase hex digits, got %s\n", flag,
+                 value);
+    std::exit(2);
+  }
+  *out = v;
+}
+
 /// Hidden subcommand: one shard of one round, spawned by the supervisor.
-/// Flags reproduce the supervisor's campaign config; the worker revalidates
-/// against the checkpoint's config signature and refuses a stale ask.
+/// Flags reproduce the supervisor's campaign config minus the bootstrap,
+/// which only round 0 builds; the worker checks the ask against the
+/// signatures the supervisor passes and refuses a stale one.
 int cmd_serve_worker(int argc, char** argv) {
   // The supervisor may die while we beat into the inherited pipe; that must
   // not kill the worker mid-shard (the result file is still useful).
@@ -1015,6 +1029,10 @@ int cmd_serve_worker(int argc, char** argv) {
                    &options.heartbeat_interval_ms);
     } else if (std::strcmp(argv[i], "--heartbeat-fd") == 0 && i + 1 < argc) {
       numeric_flag("--heartbeat-fd", argv[++i], 0, 1023, &options.heartbeat_fd);
+    } else if (std::strcmp(argv[i], "--config-sig") == 0 && i + 1 < argc) {
+      sig_flag("--config-sig", argv[++i], &options.config_sig);
+    } else if (std::strcmp(argv[i], "--mutation-sig") == 0 && i + 1 < argc) {
+      sig_flag("--mutation-sig", argv[++i], &options.mutation_sig);
     } else if (std::strcmp(argv[i], "--export-metrics") == 0) {
       options.export_metrics = true;
     } else if (std::strcmp(argv[i], "--export-trace") == 0) {
@@ -1028,8 +1046,10 @@ int cmd_serve_worker(int argc, char** argv) {
     std::fprintf(stderr, "serve-worker requires --state-dir DIR\n");
     return 2;
   }
-  options.config.bootstrap =
-      mini ? hdiff::core::verification_probes() : one_shot_corpus();
+  if (options.round == 0) {
+    options.config.bootstrap =
+        mini ? hdiff::core::verification_probes() : one_shot_corpus();
+  }
   auto fleet = hdiff::impls::make_all_implementations();
   return hdiff::serve::run_worker(options, fleet);
 }
@@ -1354,6 +1374,7 @@ int cmd_tail(int argc, char** argv) {
   }
   std::uint64_t next_seq = 0;
   bool connected = false;
+  bool reported_miss = false;  // say "retrying" once, not every interval
   while (true) {
     const bool ok = tail_once(port, &next_seq);
     if (ok) connected = true;
@@ -1365,8 +1386,9 @@ int cmd_tail(int argc, char** argv) {
       std::printf("tail: daemon on port %u went away\n", port);
       return 0;
     }
-    if (!ok && !connected) {
+    if (!ok && !connected && !reported_miss) {
       std::fprintf(stderr, "tail: no daemon on port %u (retrying)\n", port);
+      reported_miss = true;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
   }
