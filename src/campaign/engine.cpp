@@ -713,6 +713,44 @@ RoundReport integrate_round(StateStore& store, const CampaignConfig& config,
   return rr;
 }
 
+bool open_campaign(StateStore& store, const CampaignConfig& config,
+                   bool* resumed, std::string* error) {
+  const std::string sig = campaign_config_sig(config);
+  *resumed = false;
+  // Writer lock first: two writers appending to one state dir would corrupt
+  // the findings artifact; the loser gets a structured refusal instead.
+  if (!store.acquire_lock()) {
+    *error = store.error();
+    return false;
+  }
+  if (store.exists()) {
+    if (!store.load()) {
+      *error = store.error();
+      return false;
+    }
+    if (store.config_sig != sig) {
+      *error = "config signature mismatch: state dir " + config.state_dir +
+               " was created by a campaign with different "
+               "seeds/bootstrap/budget (" +
+               store.config_sig + " vs " + sig + ")";
+      return false;
+    }
+    *resumed = true;
+  } else if (!store.init(sig)) {
+    *error = store.error();
+    return false;
+  }
+  // Seed entries are (re-)registered on every fresh start: add_entry is
+  // idempotent, and a crash before the round-0 commit leaves a checkpoint
+  // with no entries, healed here on resume.
+  if (store.rounds_completed == 0) {
+    register_seed_entries(store, config);
+    register_stream_seed_entries(store, config);
+  }
+  adopt_coverage(store, config);
+  return true;
+}
+
 void emit_round_metrics(const obs::Observability& obs, const RoundReport& rr,
                         const StateStore& store) {
   if (!obs.metrics) return;
@@ -770,43 +808,11 @@ CampaignEngine::CampaignEngine(CampaignConfig config)
 CampaignReport CampaignEngine::run(
     const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet) {
   CampaignReport report;
-  const std::string sig = campaign_config_sig(config_);
-
   StateStore store(config_.state_dir);
   store.set_io_jobs(config_.executor.jobs);
-  // Writer lock first: two engines appending to one state dir would corrupt
-  // the findings artifact; the loser gets a structured refusal instead.
-  if (!store.acquire_lock()) {
-    report.error = store.error();
+  if (!open_campaign(store, config_, &report.resumed, &report.error)) {
     return report;
   }
-  if (store.exists()) {
-    if (!store.load()) {
-      report.error = store.error();
-      return report;
-    }
-    if (store.config_sig != sig) {
-      report.error = "config signature mismatch: state dir " +
-                     config_.state_dir + " was created by a campaign with " +
-                     "different seeds/bootstrap/budget (" + store.config_sig +
-                     " vs " + sig + ")";
-      return report;
-    }
-    report.resumed = true;
-  } else {
-    if (!store.init(sig)) {
-      report.error = store.error();
-      return report;
-    }
-  }
-  // Seed entries are (re-)registered on every fresh start: add_entry is
-  // idempotent, and a crash before the round-0 commit leaves a checkpoint
-  // with no entries, healed here on resume.
-  if (store.rounds_completed == 0) {
-    register_seed_entries(store, config_);
-    register_stream_seed_entries(store, config_);
-  }
-  adopt_coverage(store, config_);
 
   net::Chain chain = net::Chain::from_fleet(fleet);
   // Cross-round caches: a mutant re-scheduled in a later round (or replayed

@@ -264,8 +264,17 @@ void register_stream_seed_entries(StateStore& store,
 /// Adopt the config's coverage plan into the store.  A checkpoint that
 /// already carries a plan wins (resume byte-identity); a config without a
 /// plan never erases one.  On a fresh adopt the bootstrap cone seeds the
-/// covered set.  Called after init/load by run() and the serve supervisor.
+/// covered set.  Called after init/load by open_campaign.
 void adopt_coverage(StateStore& store, const CampaignConfig& config);
+
+/// Open `store` for a writing run of `config`: take the writer lock, load
+/// the checkpoint (refusing one made with another config signature) or init
+/// a fresh one, register the seeds while no round is committed, and adopt
+/// the coverage plan.  Shared by CampaignEngine::run and the serve
+/// supervisor.  False with `*error` set on failure; `*resumed` is true when
+/// an existing checkpoint was loaded.
+bool open_campaign(StateStore& store, const CampaignConfig& config,
+                   bool* resumed, std::string* error);
 
 /// Fold one round's accounting into the hdiff_campaign_* metrics.
 void emit_round_metrics(const obs::Observability& obs, const RoundReport& rr,

@@ -26,58 +26,47 @@ std::string shard_result_path(const std::string& state_dir, std::size_t round,
 }
 
 std::string render_shard_result(const ShardResult& result) {
-  std::string out = "hdiff-shard-result-v1\n";
-  out += "round=" + std::to_string(result.round) + "\n";
-  out += "shard=" + std::to_string(result.shard) + " " +
-         std::to_string(result.shards) + "\n";
-  out += "config_sig=" + result.config_sig + "\n";
-  out += "stats=" + std::to_string(result.faulted_attempts) + " " +
-         std::to_string(result.retry_attempts) + " " +
-         std::to_string(result.recovered_cases) + " " +
-         std::to_string(result.quarantined_cases) + "\n";
-  // Optional observability sections (PR 8): metric names are field-encoded
-  // (they may embed `{label="value"}` suffixes with spaces in the values),
+  core::RecordWriter w;
+  w.header("hdiff-shard-result-v1");
+  w.line("round").dec(result.round);
+  w.line("shard").dec(result.shard).dec(result.shards);
+  w.line("config_sig").token(result.config_sig);
+  w.line("stats").dec(result.faulted_attempts).dec(result.retry_attempts)
+      .dec(result.recovered_cases).dec(result.quarantined_cases);
+  // Optional observability sections: metric names are field-encoded (they
+  // may embed `{label="value"}` suffixes with spaces in the values),
   // histogram rows carry raw per-bucket counts so the supervisor can merge
   // them bucket-wise, and trace events ride with the pid that emitted them.
   for (const auto& [name, value] : result.metrics.counters) {
-    out += "mc=" + field_enc(name) + " " + std::to_string(value) + "\n";
+    w.line("mc").bytes(name).dec(value);
   }
   for (const auto& [name, value] : result.metrics.gauges) {
-    out += "mg=" + field_enc(name) + " " + std::to_string(value) + "\n";
+    w.line("mg").bytes(name).dec(value);
   }
   for (const auto& row : result.metrics.histograms) {
-    out += "mh=" + field_enc(row.name) + " " + std::to_string(row.sum) + " " +
-           std::to_string(row.count) + " " + std::to_string(row.bounds.size());
-    for (std::uint64_t b : row.bounds) out += " " + std::to_string(b);
-    for (std::uint64_t c : row.buckets) out += " " + std::to_string(c);
-    out += "\n";
+    w.line("mh").bytes(row.name).dec(row.sum).dec(row.count)
+        .dec(row.bounds.size());
+    for (std::uint64_t b : row.bounds) w.dec(b);
+    for (std::uint64_t c : row.buckets) w.dec(c);
   }
-  if (result.trace_pid != 0) {
-    out += "tpid=" + std::to_string(result.trace_pid) + "\n";
-  }
+  if (result.trace_pid != 0) w.line("tpid").dec(result.trace_pid);
   for (const auto& e : result.trace) {
-    out += "tev=" + std::string(1, e.ph) + " " + std::to_string(e.tid) + " " +
-           std::to_string(e.ts) + " " + std::to_string(e.dur) + " " +
-           field_enc(e.name) + " " + field_enc(e.cat) + " " +
-           field_enc(e.arg_key) + " " + field_enc(e.arg_value) + "\n";
+    w.line("tev").token(std::string_view(&e.ph, 1)).dec(e.tid).dec(e.ts)
+        .dec(e.dur).bytes(e.name).bytes(e.cat).bytes(e.arg_key)
+        .bytes(e.arg_value);
   }
   for (const auto& [index, oc] : result.outcomes) {
-    out += "case=" + std::to_string(index) + " " +
-           std::string(oc.quarantined ? "1" : "0") + " " +
-           std::to_string(oc.signatures.size()) + "\n";
+    w.line("case").dec(index).flag(oc.quarantined).dec(oc.signatures.size());
     for (const auto& sig : oc.signatures) {
-      out += "sig=" + field_enc(sig.detector);
-      for (const auto& component : sig.vector) {
-        out += " " + field_enc(component);
-      }
-      out += "\n";
+      w.line("sig").bytes(sig.detector);
+      for (const auto& component : sig.vector) w.bytes(component);
     }
   }
   // Explicit end marker: a torn tail (the non-atomic-write failure mode this
   // format defends against at parse time, on top of tmp+rename) is detected
   // even when the truncation lands exactly on a line boundary.
-  out += "end=" + std::to_string(result.outcomes.size()) + "\n";
-  return out;
+  w.line("end").dec(result.outcomes.size());
+  return w.take();
 }
 
 bool parse_shard_result(std::string_view text, ShardResult* out) {

@@ -63,13 +63,11 @@ bool write_tmp_durable(const std::string& tmp, std::string_view content) {
 
 /// One finding's checkpoint line ("finding=...\n").
 std::string finding_state_line(const Finding& f) {
-  std::string out = "finding=" + std::to_string(f.round) + " " +
-                    f.fingerprint + " " + field_enc(f.detector) + " " +
-                    field_enc(f.provenance) + " " + field_enc(f.case_uuid) +
-                    " " + field_enc(f.description);
-  for (const auto& v : f.vector) out += " " + field_enc(v);
-  out += "\n";
-  return out;
+  core::RecordWriter w;
+  w.line("finding").dec(f.round).token(f.fingerprint).bytes(f.detector)
+      .bytes(f.provenance).bytes(f.case_uuid).bytes(f.description);
+  for (const auto& v : f.vector) w.bytes(v);
+  return w.take();
 }
 
 }  // namespace
@@ -226,65 +224,55 @@ void StateStore::add_finding(Finding f) {
 }
 
 std::string StateStore::render_state() const {
-  std::string out = "hdiff-campaign-state-v1\n";
-  out += "config_sig=" + config_sig + "\n";
-  out += "rounds_completed=" + std::to_string(rounds_completed) + "\n";
+  core::RecordWriter w;
+  w.header("hdiff-campaign-state-v1");
+  w.line("config_sig").token(config_sig);
+  w.line("rounds_completed").dec(rounds_completed);
   if (coverage.enabled()) {
     // Coverage block (optional: absent = coverage disabled, which is how
     // checkpoints written before the feature existed keep loading).  The
     // plan itself is serialized — not recomputed on load — so production
     // and site ids are byte-stable even if the corpus on disk changes.
-    out += "covsig=" + coverage.sig + "\n";
-    out += std::string("covweight=") + (coverage_weighting ? "1" : "0") + "\n";
+    w.line("covsig").token(coverage.sig);
+    w.line("covweight").flag(coverage_weighting);
     for (const auto& p : coverage.productions) {
-      out += "covprod=" + std::to_string(p.depth) + " " +
-             (p.leftmost ? "1" : "0") + " " + p.name + "\n";
+      w.line("covprod").dec(p.depth).flag(p.leftmost).token(p.name);
     }
     for (const auto& s : coverage.sites) {
-      out += "covsite=" + std::to_string(s.production) + " " +
-             std::to_string(s.alt_a) + " " + std::to_string(s.alt_b) + " " +
-             s.kind + " " + analysis::byte_class_hex(s.overlap) + " " +
-             std::to_string(s.rank);
-      for (std::size_t a : s.related) out += " " + std::to_string(a);
-      out += "\n";
+      w.line("covsite").dec(s.production).dec(s.alt_a).dec(s.alt_b)
+          .token(std::string_view(&s.kind, 1))
+          .token(analysis::byte_class_hex(s.overlap)).dec(s.rank);
+      for (std::size_t a : s.related) w.dec(a);
     }
-    auto id_list = [](const std::set<std::size_t>& ids) {
-      std::string line;
-      for (std::size_t id : ids) {
-        if (!line.empty()) line += ' ';
-        line += std::to_string(id);
-      }
-      return line;
-    };
-    if (!coverage.bootstrap_covered.empty()) {
-      out += "covboot=" + id_list(coverage.bootstrap_covered) + "\n";
+    for (const auto& [key, ids] :
+         {std::pair{"covboot", &coverage.bootstrap_covered},
+          std::pair{"covered", &covered}}) {
+      if (ids->empty()) continue;
+      w.line(key);
+      for (std::size_t id : *ids) w.dec(id);
     }
-    if (!covered.empty()) out += "covered=" + id_list(covered) + "\n";
     for (const auto& [id, count] : gap_hits) {
-      out += "gaphit=" + std::to_string(id) + " " + std::to_string(count) +
-             "\n";
+      w.line("gaphit").dec(id).dec(count);
     }
   }
   for (const auto& e : entries) {
-    out += "entry=" + e.hash + " " + field_enc(e.provenance) + "\n";
+    w.line("entry").token(e.hash).bytes(e.provenance);
   }
   for (const auto& e : stream_entries) {
-    out += "sentry=" + e.hash + " " + field_enc(e.provenance) + "\n";
+    w.line("sentry").token(e.hash).bytes(e.provenance);
   }
-  for (const auto& [key, stats] : arms) {
-    out += "arm=" + std::to_string(key.first) + " " + key.second + " " +
-           std::to_string(stats.attempts) + " " + std::to_string(stats.novel) +
-           " " + std::to_string(stats.cursor) + "\n";
-  }
-  for (const auto& [key, stats] : stream_arms) {
-    out += "sarm=" + std::to_string(key.first) + " " + key.second + " " +
-           std::to_string(stats.attempts) + " " + std::to_string(stats.novel) +
-           " " + std::to_string(stats.cursor) + "\n";
+  for (const auto& [key, table] :
+       {std::pair{"arm", &arms}, std::pair{"sarm", &stream_arms}}) {
+    for (const auto& [arm, stats] : *table) {
+      w.line(key).dec(arm.first).token(arm.second).dec(stats.attempts)
+          .dec(stats.novel).dec(stats.cursor);
+    }
   }
   for (const auto& r : retry_queue) {
-    out += "retry=" + field_enc(r.provenance) + " " + field_enc(r.raw) + " " +
-           field_enc(r.spec_text) + " " + field_enc(r.description) + "\n";
+    w.line("retry").bytes(r.provenance).bytes(r.raw).bytes(r.spec_text)
+        .bytes(r.description);
   }
+  std::string out = w.take();
   out += finding_lines_;
   return out;
 }

@@ -156,7 +156,6 @@ struct ArmStats {
 // existing call site.
 using core::deserialize_spec;
 using core::field_dec;
-using core::field_enc;
 using core::serialize_spec;
 
 /// Content address: fingerprint-format hash of `serialize_spec(spec)`.

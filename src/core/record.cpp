@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cerrno>
+#include <utility>
 
 namespace hdiff::core {
 
@@ -26,15 +27,23 @@ std::string hex16(std::uint64_t v) {
   return out;
 }
 
-std::string hex_encode(std::string_view bytes) {
+namespace {
+
+void append_hex(std::string* out, std::string_view bytes) {
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
+  out->reserve(out->size() + bytes.size() * 2);
   for (char c : bytes) {
     const unsigned char u = static_cast<unsigned char>(c);
-    out.push_back(kHex[u >> 4]);
-    out.push_back(kHex[u & 0xF]);
+    out->push_back(kHex[u >> 4]);
+    out->push_back(kHex[u & 0xF]);
   }
+}
+
+}  // namespace
+
+std::string hex_encode(std::string_view bytes) {
+  std::string out;
+  append_hex(&out, bytes);
   return out;
 }
 
@@ -81,6 +90,34 @@ bool field_dec(std::string_view token, std::string* out) {
     return true;
   }
   return hex_decode(token, out);
+}
+
+RecordWriter& RecordWriter::start(std::string_view name, bool spaced) {
+  if (open_) out_ += '\n';
+  out_ += name;
+  open_ = true;
+  spaced_ = spaced;
+  return *this;
+}
+
+RecordWriter& RecordWriter::token(std::string_view s) {
+  if (spaced_) out_ += ' ';
+  spaced_ = true;
+  out_ += s;
+  return *this;
+}
+
+RecordWriter& RecordWriter::bytes(std::string_view s) {
+  if (s.empty()) return token("-");
+  token({});
+  append_hex(&out_, s);
+  return *this;
+}
+
+std::string RecordWriter::take() {
+  if (open_) out_ += '\n';
+  open_ = spaced_ = false;
+  return std::exchange(out_, {});
 }
 
 bool Record::flag(std::size_t i, bool* out) const {
@@ -162,19 +199,17 @@ auto spec_scalars(Spec& s) {
 }  // namespace
 
 std::string serialize_spec(const http::RequestSpec& spec) {
-  std::string out = "spec-v1\n";
+  RecordWriter w;
+  w.header("spec-v1");
   const auto scalars = spec_scalars(spec);
   for (std::size_t i = 0; i < kSpecKeys.size(); ++i) {
-    out += kSpecKeys[i];
-    out += '=';
-    out += field_enc(*scalars[i]);
-    out += '\n';
+    w.line(kSpecKeys[i]).bytes(*scalars[i]);
   }
   for (const auto& h : spec.headers) {
-    out += "h=" + field_enc(h.name) + " " + field_enc(h.value) + " " + field_enc(h.separator) +
-           " " + field_enc(h.terminator) + "\n";
+    w.line("h").bytes(h.name).bytes(h.value).bytes(h.separator)
+        .bytes(h.terminator);
   }
-  return out;
+  return w.take();
 }
 
 bool deserialize_spec(std::string_view text, http::RequestSpec* out) {

@@ -1,12 +1,14 @@
-// The durable-record codec: the one reader of every line-based state file
-// (spec-v1 and hdiff-stream-v1 corpus files, the hdiff-campaign-state-v1
-// checkpoint, hdiff-shard-result-v1 shard results, flight.events), plus the
-// field encodings, hash and hex helpers those files are written with.  The
-// shared framing rules are stated once, in DESIGN.md §6 "Durable records";
-// each format keeps only its key table and cross-line checks.
+// The durable-record codec: the one reader and the one writer of every
+// line-based state file (spec-v1 and hdiff-stream-v1 corpus files, the
+// hdiff-campaign-state-v1 checkpoint, hdiff-shard-result-v1 shard results,
+// flight.events), plus the field encodings, hash and hex helpers.  The
+// shared framing rules are stated once, in DESIGN.md §6 "Durable records",
+// and only this codec writes them; each format keeps only its key table and
+// cross-line checks.
 #pragma once
 
 #include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -131,6 +133,44 @@ class RecordReader {
   std::string_view rest_;
   Record record_;
   bool ok_ = true;
+};
+
+/// Builds the '\n'-terminated lines RecordReader reads: `key=f0 f1 ...`
+/// lines and `name f0 f1 ...` header (or bare marker) lines, one space
+/// before every field but a `key=` line's first.  Fields append in place.
+class RecordWriter {
+ public:
+  /// Start a header line `name`; with no fields, a bare marker line.
+  RecordWriter& header(std::string_view name) { return start(name, true); }
+  /// Start a `key=` line.
+  RecordWriter& line(std::string_view key) {
+    start(key, false);
+    out_ += '=';
+    return *this;
+  }
+  /// A decimal field, exactly what parse_dec reads back.
+  template <typename T>
+  RecordWriter& dec(T v) {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+    return token(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  }
+  /// A field_enc byte field.
+  RecordWriter& bytes(std::string_view s);
+  /// A space-free field written as is (hashes, signatures, names).
+  RecordWriter& token(std::string_view s);
+  /// "1" or "0".
+  RecordWriter& flag(bool b) { return token(b ? "1" : "0"); }
+  /// The text with its last line closed; the writer starts over empty.
+  std::string take();
+
+ private:
+  RecordWriter& start(std::string_view name, bool spaced);
+
+  std::string out_;
+  bool open_ = false;    ///< a line awaits its '\n'
+  bool spaced_ = false;  ///< the next field needs a separating space
 };
 
 /// Canonical text form of a spec: the "spec-v1" header, then method,

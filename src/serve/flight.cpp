@@ -10,10 +10,6 @@ namespace hdiff::serve {
 
 namespace {
 
-std::string index_token(std::size_t v) {
-  return v == FlightEvent::kNone ? "-" : std::to_string(v);
-}
-
 /// A round/shard field: "-" for kNone, else a decimal index.
 bool index_field(const core::Record& line, std::size_t i, std::size_t* out) {
   if (line.field(i) != "-") return line.dec(i, out);
@@ -30,13 +26,23 @@ bool event_of(const core::Record& line, FlightEvent* out) {
          index_field(line, 4, &out->shard) && line.bytes(5, &out->detail);
 }
 
+/// Append the event's `ev=` line.
+void write_event(core::RecordWriter& w, const FlightEvent& event) {
+  w.line("ev").dec(event.seq).dec(event.ts_ms).bytes(event.kind);
+  for (std::size_t index : {event.round, event.shard}) {
+    index == FlightEvent::kNone ? w.token("-") : w.dec(index);
+  }
+  w.bytes(event.detail);
+}
+
 }  // namespace
 
 std::string render_flight_event(const FlightEvent& event) {
-  return "ev=" + std::to_string(event.seq) + " " +
-         std::to_string(event.ts_ms) + " " + core::field_enc(event.kind) +
-         " " + index_token(event.round) + " " + index_token(event.shard) +
-         " " + core::field_enc(event.detail);
+  core::RecordWriter w;
+  write_event(w, event);
+  std::string line = w.take();
+  line.pop_back();  // the line alone, without its '\n'
+  return line;
 }
 
 bool parse_flight_event(std::string_view line, FlightEvent* out) {
@@ -74,11 +80,9 @@ void FlightRecorder::load() {
   // Restart churn grows the file unboundedly while the ring stays capped;
   // rewrite it from the ring once it is several rings deep.
   if (file_lines > 4 * capacity_) {
-    std::string compact;
-    for (const FlightEvent& event : ring_) {
-      compact += render_flight_event(event) + "\n";
-    }
-    campaign::write_file_atomic_durable(path(state_dir_), compact);
+    core::RecordWriter w;
+    for (const FlightEvent& event : ring_) write_event(w, event);
+    campaign::write_file_atomic_durable(path(state_dir_), w.take());
   }
 }
 
@@ -89,7 +93,9 @@ void FlightRecorder::append_line(const FlightEvent& event) {
     out_.open(path(state_dir_), std::ios::binary | std::ios::app);
   }
   if (!out_.is_open()) return;  // state dir unwritable: ring still works
-  out_ << render_flight_event(event) << "\n";
+  core::RecordWriter w;
+  write_event(w, event);
+  out_ << w.take();
   out_.flush();
 }
 

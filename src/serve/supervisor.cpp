@@ -131,6 +131,8 @@ class Runner {
   void inject_chaos(std::size_t round);
   void release_slot(Slot& slot);
   void on_death(std::size_t shard);
+  /// Stop spawning workers for `shard`; the supervisor runs it inline.
+  void quarantine(std::size_t shard, const std::string& why);
   campaign::ShardResult run_inline(std::size_t round,
                                    const campaign::RoundPlan& plan,
                                    std::size_t shard);
@@ -407,6 +409,21 @@ void Runner::inject_chaos(std::size_t round) {
   }
 }
 
+void Runner::quarantine(std::size_t shard, const std::string& why) {
+  // The supervisor runs the shard inline from now on, so the round still
+  // completes.
+  slots_[shard].health = WorkerHealth::kQuarantined;
+  quarantined_[shard] = true;
+  ++report_.quarantined_shards;
+  flight_.record("quarantine", round_, shard, why + "; running inline");
+  if (sobs_.quarantines) sobs_.quarantines->add();
+  if (sobs_.shards_quarantined) {
+    std::int64_t n = 0;
+    for (bool q : quarantined_) n += q ? 1 : 0;
+    sobs_.shards_quarantined->set(n);
+  }
+}
+
 void Runner::on_death(std::size_t shard) {
   Slot& slot = slots_[shard];
   release_slot(slot);
@@ -419,20 +436,9 @@ void Runner::on_death(std::size_t shard) {
       "consecutive " + std::to_string(slot.consecutive_deaths));
   if (slot.consecutive_deaths >= config_.quarantine_after) {
     // Workers keep dying on this shard (a poisoned case crashing the child,
-    // a broken worker binary, resource exhaustion).  Stop burning respawns:
-    // the supervisor runs the shard inline, so the round still completes.
-    slot.health = WorkerHealth::kQuarantined;
-    quarantined_[shard] = true;
-    ++report_.quarantined_shards;
-    flight_.record("quarantine", round_, shard,
-                   "after " + std::to_string(slot.consecutive_deaths) +
-                       " consecutive deaths; running inline");
-    if (sobs_.quarantines) sobs_.quarantines->add();
-    if (sobs_.shards_quarantined) {
-      std::int64_t n = 0;
-      for (bool q : quarantined_) n += q ? 1 : 0;
-      sobs_.shards_quarantined->set(n);
-    }
+    // a broken worker binary, resource exhaustion): stop burning respawns.
+    quarantine(shard, "after " + std::to_string(slot.consecutive_deaths) +
+                          " consecutive deaths");
     return;
   }
   slot.health = WorkerHealth::kDegraded;
@@ -445,49 +451,21 @@ void Runner::on_death(std::size_t shard) {
 campaign::ShardResult Runner::run_inline(std::size_t round,
                                          const campaign::RoundPlan& plan,
                                          std::size_t shard) {
-  const std::vector<std::size_t> mine =
-      campaign::shard_indices(plan.cases, shard, shards());
-  // Inline execution mirrors a worker process exactly: fresh memo/verdict
-  // caches scoped to this (round, shard) and scratch obs instruments that
-  // travel back inside the shard result.  That single shape keeps
-  // /metrics totals identical between sharded and --in-process runs (a
-  // shared cross-round memo would skip observations a worker would make)
-  // and gives every absorbed snapshot exactly-once semantics.
-  obs::Registry scratch_registry;
-  obs::TraceSink scratch_sink(config_.campaign.obs.clock);
-  campaign::CampaignConfig cfg = config_.campaign;
-  cfg.obs.metrics = fleet_->enabled() ? &scratch_registry : nullptr;
-  cfg.obs.trace = config_.obs.trace != nullptr ? &scratch_sink : nullptr;
-  core::ObservationMemo memo;
-  net::VerdictCache verdicts;
-  campaign::ExecutedRound executed;
-  {
-    obs::Span span(cfg.obs.trace, "worker:execute_round", "serve");
-    span.arg("shard", std::to_string(shard) + "/" + std::to_string(shards()) +
-                          " round " + std::to_string(round) + " (inline)");
-    executed = campaign::execute_round(cfg, chain_, plan.cases, &memo,
-                                       &verdicts, &mine);
-  }
+  // Inline execution is a worker's run_shard, so /metrics totals match
+  // between sharded and --in-process runs and every absorbed snapshot keeps
+  // exactly-once semantics.  Published durably like a worker's, so a
+  // supervisor crash right after an inline run still resumes without
+  // re-observing this shard.
+  WorkerOptions ask;
+  ask.config = config_.campaign;
+  ask.config_sig = store_.config_sig;
+  ask.round = round;
+  ask.shard = shard;
+  ask.shards = shards();
+  ask.export_metrics = fleet_->enabled();
+  ask.export_trace = config_.obs.trace != nullptr;
   campaign::ShardResult result;
-  result.round = round;
-  result.shard = shard;
-  result.shards = shards();
-  result.config_sig = store_.config_sig;
-  result.faulted_attempts = executed.stats.faulted_attempts;
-  result.retry_attempts = executed.stats.retry_attempts;
-  result.recovered_cases = executed.stats.recovered_cases;
-  result.quarantined_cases = executed.stats.quarantined_cases;
-  for (std::size_t index : mine) {
-    result.outcomes.emplace(index, executed.outcomes[index]);
-  }
-  if (fleet_->enabled()) result.metrics = scratch_registry.snapshot();
-  if (cfg.obs.trace != nullptr) {
-    result.trace_pid = static_cast<std::uint32_t>(::getpid());
-    result.trace = scratch_sink.export_events();
-  }
-  // Published durably like a worker's, so a supervisor crash right after an
-  // inline run still resumes without re-observing this shard.
-  campaign::write_shard_result(config_.campaign.state_dir, result);
+  run_shard(std::move(ask), chain_, plan, &result);
   return result;
 }
 
@@ -665,6 +643,13 @@ bool Runner::execute_round_sharded(
         }
         // Exit 0 without a loadable result is a protocol violation —
         // treated exactly like a crash.
+      } else if (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerStale) {
+        // The worker's flags or checkpoint disagree with this supervisor's
+        // ask; a respawn would get the same ask, so it is no death.
+        release_slot(slot);
+        hb_.clear(k);
+        quarantine(k, "stale ask");
+        continue;
       }
       on_death(k);
     }
@@ -701,36 +686,12 @@ bool Runner::execute_round_sharded(
 }
 
 ServeReport Runner::run() {
-  const std::string sig = campaign::campaign_config_sig(config_.campaign);
-  if (!store_.acquire_lock()) {
-    report_.error = store_.error();
-    return report_;
-  }
-  if (store_.exists()) {
-    if (!store_.load()) {
-      report_.error = store_.error();
-      return report_;
-    }
-    if (store_.config_sig != sig) {
-      report_.error = "config signature mismatch: state dir " +
-                      config_.campaign.state_dir +
-                      " was created by a campaign with different "
-                      "seeds/bootstrap/budget (" +
-                      store_.config_sig + " vs " + sig + ")";
-      return report_;
-    }
-    report_.resumed = true;
-  } else if (!store_.init(sig)) {
-    report_.error = store_.error();
-    return report_;
-  }
-  if (store_.rounds_completed == 0) {
-    campaign::register_seed_entries(store_, config_.campaign);
-    campaign::register_stream_seed_entries(store_, config_.campaign);
-  }
   // Workers re-plan from the committed checkpoint, so adopting the coverage
   // plan here is all it takes for every shard to see identical ids.
-  campaign::adopt_coverage(store_, config_.campaign);
+  if (!campaign::open_campaign(store_, config_.campaign, &report_.resumed,
+                               &report_.error)) {
+    return report_;
+  }
   ready_ = true;
   flight_.record(report_.resumed ? "resume" : "start", store_.rounds_completed,
                  FlightEvent::kNone,

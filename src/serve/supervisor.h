@@ -25,6 +25,9 @@
 //                            K consecutive deaths --> kQuarantined
 //                                      (shard runs inline in the supervisor)
 //
+// A stale exit (kWorkerStale: the worker's flags or checkpoint disagree with
+// the ask) is no death: the slot goes straight to kQuarantined, unrespawned.
+//
 // Liveness is a pipe heartbeat ('h' every interval/2 from a worker-side
 // thread); a slot silent for two intervals is declared hung and SIGKILLed.
 // /healthz degrades (503) only while some executing slot sits in kDegraded

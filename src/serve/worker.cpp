@@ -9,9 +9,7 @@
 #include <mutex>
 #include <thread>
 
-#include "campaign/shard.h"
 #include "campaign/store.h"
-#include "net/chain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -82,9 +80,9 @@ int run_worker(
   // committed checkpoint AND built it from the same config.  A mismatch is
   // a stale ask (supervisor committed while this worker was queued, or the
   // daemon was restarted with different flags): report it as such so the
-  // supervisor re-plans instead of retrying a doomed worker.  Round 0 plans
-  // from the bootstrap, so it also proves the bootstrap it built; later
-  // rounds plan only from what the mutation signature covers.
+  // supervisor runs the shard itself instead of respawning a doomed worker.
+  // Round 0 plans from the bootstrap, so it also proves the bootstrap it
+  // built; later rounds plan only from what the mutation signature covers.
   if (store.config_sig != options.config_sig ||
       campaign::campaign_mutation_sig(options.config) !=
           options.mutation_sig ||
@@ -94,39 +92,49 @@ int run_worker(
     return kWorkerStale;
   }
 
-  campaign::RoundPlan plan =
+  const campaign::RoundPlan plan =
       campaign::plan_round(store, options.config, options.round);
-  const std::vector<std::size_t> mine =
-      campaign::shard_indices(plan.cases, options.shard, options.shards);
+  campaign::ShardResult result;
+  if (!run_shard(options, net::Chain::from_fleet(fleet), plan, &result)) {
+    return kWorkerStateError;
+  }
+  heartbeat.done();
+  return kWorkerOk;
+}
 
-  // Worker-local observability: instruments live in this process and cross
+bool run_shard(WorkerOptions ask, const net::Chain& chain,
+               const campaign::RoundPlan& plan, campaign::ShardResult* out) {
+  const std::vector<std::size_t> mine =
+      campaign::shard_indices(plan.cases, ask.shard, ask.shards);
+  // Shard-local observability: instruments live only for this run and cross
   // back to the supervisor only inside the durable shard result, so the
   // counts the fleet registry absorbs are exactly the counts that produced
   // the published outcomes.
   obs::Registry registry;
-  obs::TraceSink sink;
-  campaign::CampaignConfig config = options.config;
-  if (options.export_metrics) config.obs.metrics = &registry;
-  if (options.export_trace) config.obs.trace = &sink;
-
-  net::Chain chain = net::Chain::from_fleet(fleet);
+  obs::TraceSink sink(ask.config.obs.clock);
+  campaign::CampaignConfig& config = ask.config;
+  config.obs.metrics = ask.export_metrics ? &registry : nullptr;
+  config.obs.trace = ask.export_trace ? &sink : nullptr;
+  // Fresh caches scoped to this (round, shard), so an inline run observes
+  // exactly what a worker process would.
   core::ObservationMemo memo;
   net::VerdictCache verdicts;
   campaign::ExecutedRound executed;
   {
     obs::Span span(config.obs.trace, "worker:execute_round", "serve");
-    span.arg("shard", std::to_string(options.shard) + "/" +
-                          std::to_string(options.shards) + " round " +
-                          std::to_string(options.round));
+    span.arg("shard", std::to_string(ask.shard) + "/" +
+                          std::to_string(ask.shards) + " round " +
+                          std::to_string(ask.round));
     executed = campaign::execute_round(config, chain, plan.cases, &memo,
                                        &verdicts, &mine);
   }
 
-  campaign::ShardResult result;
-  result.round = options.round;
-  result.shard = options.shard;
-  result.shards = options.shards;
-  result.config_sig = store.config_sig;
+  campaign::ShardResult& result = *out;
+  result = {};
+  result.round = ask.round;
+  result.shard = ask.shard;
+  result.shards = ask.shards;
+  result.config_sig = ask.config_sig;
   result.faulted_attempts = executed.stats.faulted_attempts;
   result.retry_attempts = executed.stats.retry_attempts;
   result.recovered_cases = executed.stats.recovered_cases;
@@ -136,16 +144,12 @@ int run_worker(
   }
   // Snapshot after the executor has joined its workers (execute_round
   // returns post-join), satisfying the registry/sink quiescence contract.
-  if (options.export_metrics) result.metrics = registry.snapshot();
-  if (options.export_trace) {
+  if (ask.export_metrics) result.metrics = registry.snapshot();
+  if (ask.export_trace) {
     result.trace_pid = static_cast<std::uint32_t>(::getpid());
     result.trace = sink.export_events();
   }
-  if (!campaign::write_shard_result(options.config.state_dir, result)) {
-    return kWorkerStateError;
-  }
-  heartbeat.done();
-  return kWorkerOk;
+  return campaign::write_shard_result(config.state_dir, result);
 }
 
 }  // namespace hdiff::serve

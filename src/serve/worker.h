@@ -31,16 +31,20 @@
 #include <vector>
 
 #include "campaign/engine.h"
+#include "campaign/shard.h"
 #include "impls/model.h"
+#include "net/chain.h"
 
 namespace hdiff::serve {
 
 /// Worker process exit codes, part of the supervisor/worker contract.
+/// kWorkerStale quarantines the shard at once (a respawn would get the same
+/// doomed ask), so it shares no code with a `serve-worker` usage error (2).
 /// Anything else (signals included) is a death the supervisor retries.
 enum WorkerExit : int {
-  kWorkerOk = 0,         ///< result file durably published
-  kWorkerStale = 2,      ///< checkpoint round/config does not match the ask
+  kWorkerOk = 0,          ///< result file durably published
   kWorkerStateError = 3,  ///< cannot load checkpoint or publish the result
+  kWorkerStale = 4,       ///< checkpoint round/config does not match the ask
 };
 
 struct WorkerOptions {
@@ -66,6 +70,15 @@ struct WorkerOptions {
   bool export_metrics = false;
   bool export_trace = false;
 };
+
+/// Execute the cases of `plan` that `ask.shard` owns, with fresh observation
+/// caches, and publish them durably as the shard's result for `ask.round`
+/// (signed with `ask.config_sig`).  The export flags ship this run's own
+/// metrics snapshot and trace spans inside the result.  A worker process and
+/// the supervisor's inline fallback both run a shard through here.  False
+/// when the result cannot be published; `*out` holds it either way.
+bool run_shard(WorkerOptions ask, const net::Chain& chain,
+               const campaign::RoundPlan& plan, campaign::ShardResult* out);
 
 /// Run one shard of one round to completion.  Returns a WorkerExit code.
 int run_worker(

@@ -25,16 +25,13 @@ std::vector<std::string> RequestStream::wires() const {
 }
 
 std::string serialize_stream(const RequestStream& stream) {
-  std::string out(kName);
-  out += ' ';
-  out += std::to_string(stream.messages.size());
-  out += "\n";
+  core::RecordWriter w;
+  w.header(kName).dec(stream.messages.size());
   for (const auto& m : stream.messages) {
-    out += "msg=" + core::field_enc(core::serialize_spec(m)) + "\n";
+    w.line("msg").bytes(core::serialize_spec(m));
   }
-  out += kEnd;
-  out += "\n";
-  return out;
+  w.header(kEnd);
+  return w.take();
 }
 
 bool deserialize_stream(std::string_view text, RequestStream* out) {

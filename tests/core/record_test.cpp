@@ -131,6 +131,59 @@ TEST(RecordFraming, ReaderChecksHeaderNewlinesAndEndMarker) {
   EXPECT_FALSE(trailing.end("end-fmt"));
 }
 
+// ---- writer -------------------------------------------------------------------
+
+TEST(RecordWriter, OutputReadsBackThroughTheReader) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  RecordWriter w;
+  w.header("fmt").dec(std::size_t{2}).token("tok");
+  w.line("empty");
+  w.line("n").dec(kMin).dec(kMax).dec(0).flag(true).flag(false);
+  w.line("b").bytes("").bytes(std::string("\0 \n", 3));
+  w.header("end-fmt");
+  const std::string text = w.take();
+  EXPECT_EQ(text,
+            "fmt 2 tok\nempty=\nn=-9223372036854775808 18446744073709551615 "
+            "0 1 0\nb=- 00200a\nend-fmt\n");
+
+  RecordReader r(text);
+  ASSERT_TRUE(r.header("fmt"));
+  ASSERT_EQ(r.record().size(), 2u);
+  EXPECT_EQ(r.record().field(1), "tok");
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.record().key(), "empty");
+  EXPECT_EQ(r.record().size(), 0u);
+  ASSERT_TRUE(r.next());
+  std::int64_t min = 0;
+  std::uint64_t max = 0;
+  bool set = false, clear = true;
+  EXPECT_TRUE(r.record().dec(0, &min));
+  EXPECT_EQ(min, kMin);
+  EXPECT_TRUE(r.record().dec(1, &max));
+  EXPECT_EQ(max, kMax);
+  EXPECT_TRUE(r.record().flag(3, &set) && r.record().flag(4, &clear));
+  EXPECT_TRUE(set);
+  EXPECT_FALSE(clear);
+  ASSERT_TRUE(r.next());
+  std::string empty = "stale", bytes;
+  EXPECT_TRUE(r.record().bytes(0, &empty));
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(r.record().bytes(1, &bytes));
+  EXPECT_EQ(bytes, std::string("\0 \n", 3));
+  EXPECT_TRUE(r.end("end-fmt"));
+}
+
+TEST(RecordWriter, TakeOnAnEmptyWriterIsEmptyAndTakeStartsOver) {
+  RecordWriter w;
+  EXPECT_EQ(w.take(), "");
+  w.line("k").token("v");
+  EXPECT_EQ(w.take(), "k=v\n");
+  EXPECT_EQ(w.take(), "");
+  w.line("k");
+  EXPECT_EQ(w.take(), "k=\n");
+}
+
 // ---- one malformed-input table across every format ---------------------------
 
 enum class Format { kSpec, kStream, kState, kShard, kFlight };

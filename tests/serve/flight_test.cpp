@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,6 +60,21 @@ TEST(FlightEventLine, RenderParseRoundTrip) {
   EXPECT_EQ(back.round, event.round);
   EXPECT_EQ(back.shard, event.shard);
   EXPECT_EQ(back.detail, event.detail);
+
+  // Maximum values, and parse then render is the identity on the line.
+  FlightEvent max;
+  max.seq = std::numeric_limits<std::uint64_t>::max();
+  max.ts_ms = std::numeric_limits<std::uint64_t>::max();
+  max.kind = "spawn";
+  max.round = 0;
+  max.shard = FlightEvent::kNone - 1;
+  const std::string line = render_flight_event(max);
+  ASSERT_TRUE(parse_flight_event(line, &back)) << line;
+  EXPECT_EQ(back.seq, max.seq);
+  EXPECT_EQ(back.ts_ms, max.ts_ms);
+  EXPECT_EQ(back.round, 0u);
+  EXPECT_EQ(back.shard, max.shard);
+  EXPECT_EQ(render_flight_event(back), line);
 }
 
 TEST(FlightEventLine, NoneIndicesAndEmptyDetailRoundTrip) {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -201,6 +202,39 @@ TEST(ShardResult, RenderParseRoundTrip) {
   EXPECT_EQ(back.trace[0].arg_value, result.trace[0].arg_value);
   EXPECT_EQ(back.trace[1].ph, 'i');
   EXPECT_TRUE(back.trace[1].cat.empty());
+
+  // Extreme values, and parse then render is the identity on rendered text.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  ShardResult extreme = sample_result();
+  extreme.round = std::numeric_limits<std::size_t>::max();
+  extreme.faulted_attempts = std::numeric_limits<std::size_t>::max();
+  extreme.metrics.counters.push_back({"", kMax});
+  extreme.metrics.gauges.push_back(
+      {"min", std::numeric_limits<std::int64_t>::min()});
+  // A histogram with zero bounds keeps only its overflow bucket.
+  obs::Registry::HistogramRow row;
+  row.name = "hdiff_no_bounds";
+  row.count = kMax;
+  row.sum = kMax;
+  row.buckets = {kMax};
+  extreme.metrics.histograms.push_back(row);
+  extreme.trace_pid = std::numeric_limits<std::uint32_t>::max();
+  extreme.trace[0].ts = kMax;
+  extreme.trace[0].dur = kMax;
+
+  const std::string text = campaign::render_shard_result(extreme);
+  ASSERT_TRUE(campaign::parse_shard_result(text, &back)) << text;
+  EXPECT_EQ(back.round, extreme.round);
+  EXPECT_EQ(back.faulted_attempts, extreme.faulted_attempts);
+  EXPECT_EQ(back.metrics.counters, extreme.metrics.counters);
+  EXPECT_EQ(back.metrics.gauges, extreme.metrics.gauges);
+  ASSERT_EQ(back.metrics.histograms.size(), 2u);
+  EXPECT_TRUE(back.metrics.histograms[1].bounds.empty());
+  EXPECT_EQ(back.metrics.histograms[1].buckets, row.buckets);
+  EXPECT_EQ(back.metrics.histograms[1].count, kMax);
+  EXPECT_EQ(back.trace_pid, extreme.trace_pid);
+  EXPECT_EQ(back.trace[0].ts, kMax);
+  EXPECT_EQ(campaign::render_shard_result(back), text);
 }
 
 TEST(ShardResult, ObsSectionsAreOptionalAndOldFilesStillParse) {
@@ -526,6 +560,59 @@ TEST(Supervisor, WorkersInheritOnlyStdioAndTheHeartbeatFd) {
   ASSERT_FALSE(fds.empty());
   EXPECT_EQ(fds.find("socket:"), std::string::npos) << fds;
   EXPECT_EQ(fds.find("flight.events"), std::string::npos) << fds;
+  fs::remove_all(serve_dir);
+  fs::remove_all(bin_dir);
+}
+
+TEST(Supervisor, StaleWorkerIsQuarantinedWithoutARespawn) {
+  const auto fleet = impls::make_all_implementations();
+
+  const std::string ref_dir = fresh_dir("stale-ref");
+  campaign::CampaignEngine engine(small_campaign(ref_dir));
+  ASSERT_TRUE(engine.run(fleet).error.empty());
+
+  const std::string serve_dir = fresh_dir("stale-serve");
+  const std::string bin_dir = fresh_dir("stale-bin");
+  fs::create_directories(bin_dir);
+  // A worker that refuses every ask as stale: a respawn would get the same
+  // ask, so the shard must go inline at once, with no death counted.
+  const std::string script = bin_dir + "/worker.sh";
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\nexit " << kWorkerStale << "\n";
+  }
+  fs::permissions(script, fs::perms::owner_all);
+
+  ServeConfig config;
+  config.campaign = small_campaign(serve_dir);
+  config.shards = 2;
+  config.worker_binary = script;
+  config.heartbeat_interval_ms = 40;
+  config.quarantine_after = 3;
+  Supervisor supervisor(config, fleet);
+  const ServeReport report = supervisor.run();
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  EXPECT_EQ(report.worker_deaths, 0u);
+  EXPECT_EQ(report.worker_restarts, 0u);
+  EXPECT_EQ(report.quarantined_shards, 2u);
+
+  FlightRecorder flight(serve_dir);
+  flight.load();
+  std::size_t stale = 0;
+  for (const FlightEvent& event : flight.events_since(0)) {
+    EXPECT_NE(event.kind, "worker_death");
+    if (event.kind == "quarantine" &&
+        event.detail.rfind("stale ask", 0) == 0) {
+      ++stale;
+    }
+  }
+  EXPECT_EQ(stale, 2u);
+
+  const campaign::StateStore ref_store(ref_dir), serve_store(serve_dir);
+  EXPECT_EQ(slurp(ref_store.state_path()), slurp(serve_store.state_path()));
+  EXPECT_EQ(slurp(ref_store.findings_path()),
+            slurp(serve_store.findings_path()));
+  fs::remove_all(ref_dir);
   fs::remove_all(serve_dir);
   fs::remove_all(bin_dir);
 }
