@@ -288,7 +288,7 @@ class StateStore {
   const std::string& state_dir() const { return dir_; }
   const std::string& error() const { return error_; }
 
-  /// Paths (exposed for the byte-identity checks in tests and selftests).
+  /// Paths (exposed for the byte-identity checks in tests).
   std::string state_path() const;
   std::string findings_path() const;
   std::string corpus_path(const std::string& hash) const;

@@ -4,10 +4,11 @@
 //
 // Scope: deliberately minimal — blocking I/O, loopback only, one connection
 // serviced at a time per server.  `tcp_roundtrip{,_retry}` is the one client
-// transport: ModelProxy's backend leg, the `hdiff tail` / `selftest --serve`
-// control-plane probe and examples/live_chain.cpp each send one roundtrip at
-// a time from their own thread.  The in-process Chain (chain.h) remains the
-// engine for bulk differential testing.
+// transport: ModelProxy's backend leg, the control-plane client
+// (`control_get` in serve/control.h, used by `hdiff tail` and the tests) and
+// examples/live_chain.cpp each send one roundtrip at a time from their own
+// thread.  The in-process Chain (chain.h) remains the engine for bulk
+// differential testing.
 //
 // Fault model: every client round trip returns a `TcpResult` carrying a
 // `ChainError` classification alongside whatever bytes arrived, so a

@@ -292,4 +292,29 @@ std::size_t ServeLoop::poll_once(int timeout_ms) {
   return dispatched;
 }
 
+ControlProbe parse_control_reply(std::string_view bytes) {
+  constexpr std::string_view kVersion = "HTTP/1.1 ";
+  unsigned code = 0;  // unsigned: no sign; parse_dec: no leading zero
+  if (bytes.size() < kVersion.size() + 4 || !bytes.starts_with(kVersion) ||
+      bytes[kVersion.size() + 3] != ' ' ||
+      !core::parse_dec(bytes.substr(kVersion.size(), 3), &code)) {
+    return {};
+  }
+  ControlProbe probe;
+  probe.status = static_cast<int>(code);
+  const std::size_t body = bytes.find("\r\n\r\n");
+  if (body != std::string_view::npos) probe.body = bytes.substr(body + 4);
+  return probe;
+}
+
+ControlProbe control_get(std::uint16_t port, std::string_view method,
+                         std::string_view target, int idle_timeout_ms) {
+  const std::string request = std::string(method) + " " + std::string(target) +
+                              " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                              "Content-Length: 0\r\n\r\n";
+  const TcpResult result = tcp_roundtrip(port, request, idle_timeout_ms);
+  if (!result.ok()) return {};
+  return parse_control_reply(result.bytes);
+}
+
 }  // namespace hdiff::net

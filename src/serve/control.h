@@ -5,11 +5,14 @@
 // Deliberately poll()-only: a control plane holds a handful of fds.  One
 // HTTP request per connection (Connection: close), bodies framed by exactly
 // one strict decimal Content-Length; anything else is rejected before the
-// handler sees it.  Built into hdiff_serve rather than hdiff_net because that
-// decimal is `core::parse_dec`; the names stay in `hdiff::net`.
+// handler sees it.  `control_get` is the matching client, shared by
+// `hdiff tail` and the tests.  Built into hdiff_serve rather than hdiff_net
+// because both sides read decimals with `core::parse_dec`; the names stay
+// in `hdiff::net`.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -96,5 +99,21 @@ class ServeLoop {
   std::size_t requests_handled_ = 0;
   std::size_t requests_rejected_ = 0;
 };
+
+/// One control-plane reply as a client reads it.
+struct ControlProbe {
+  int status = 0;  ///< 0 = transport failure or no well-formed status line
+  std::string body;
+};
+
+/// Read a reply: the status must be exactly three digits between
+/// "HTTP/1.1 " and a space, else `status` is 0 and `body` empty; the body
+/// is whatever follows the header block.
+ControlProbe parse_control_reply(std::string_view bytes);
+
+/// Send `method target` with an empty body to the control plane on loopback
+/// `port` and read the reply; `idle_timeout_ms` as in `tcp_roundtrip`.
+ControlProbe control_get(std::uint16_t port, std::string_view method,
+                         std::string_view target, int idle_timeout_ms = 500);
 
 }  // namespace hdiff::net

@@ -17,8 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "abnf/parser.h"
-#include "analysis/coverage.h"
 #include "campaign/store.h"
 #include "core/probes.h"
 #include "impls/products.h"
@@ -26,6 +24,8 @@
 #include "obs/metrics.h"
 #include "stream/model.h"
 #include "stream/seeds.h"
+
+#include "coverage_fixture.h"
 
 namespace hdiff::campaign {
 namespace {
@@ -119,23 +119,6 @@ std::size_t count_stream_retries(const StateStore& store) {
     n += stream::is_stream_text(r.spec_text) ? 1 : 0;
   }
   return n;
-}
-
-// A miniature grammar whose rule names line up with the mutation engine's
-// touched-rule names, so coverage attribution has something to bind to.
-analysis::CoveragePlan coverage_fixture() {
-  std::vector<std::string> errors;
-  abnf::Grammar g = abnf::parse_rulelist(
-      "HTTP-message = request-line *header-field\n"
-      "request-line = \"GET \" HTTP-version\n"
-      "HTTP-version = \"HTTP/1.1\" / \"HTTP/1.0\"\n"
-      "header-field = field-name \":\" field-value\n"
-      "field-name = 1*%x41-5A\n"
-      "field-value = Transfer-Encoding / 1*%x61-7A\n"
-      "Transfer-Encoding = \"chunked\" / \"compress\"\n",
-      "fixture", &errors);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-  return analysis::build_coverage_plan(g, {"HTTP-message"});
 }
 
 /// Streams and the coverage-weighted schedule together, the way

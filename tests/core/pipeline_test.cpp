@@ -1,8 +1,18 @@
 // End-to-end pipeline integration: the paper's headline results (Table I
-// matrix, the nine HoT pairs) must reproduce from corpus to findings.
+// matrix, the nine HoT pairs) must reproduce from corpus to findings, and a
+// fleet that resets, truncates and stalls must not invent a finding.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+#include <set>
+#include <string>
+
 #include "core/hdiff.h"
+#include "impls/products.h"
+#include "net/fault.h"
+
+#include "expect_findings.h"
 
 namespace hdiff::core {
 namespace {
@@ -97,6 +107,84 @@ TEST(Pipeline, AnalysisStatisticsPresent) {
   EXPECT_GT(a.srs.size(), 60u);
   EXPECT_GT(a.grammar.size(), 100u);
 }
+
+// ---- graceful degradation (E10) --------------------------------------------
+
+/// What each finding claims, without the case that witnessed it.
+std::set<std::string> finding_keys(const DetectionResult& r) {
+  std::set<std::string> keys;
+  for (const auto& p : r.pairs) {
+    keys.insert("pair " + p.front + "|" + p.back + "|" +
+                std::string(to_string(p.attack)));
+  }
+  for (const auto& v : r.violations) {
+    keys.insert("violation " + v.impl + "|" + v.sr_id);
+  }
+  return keys;
+}
+
+struct FaultRow {
+  const char* name;
+  net::FaultPlanConfig plan;
+};
+
+// A stable test name: gtest's default byte dump of a row embeds addresses.
+void PrintTo(const FaultRow& row, std::ostream* os) { *os << row.name; }
+
+class FaultPlanProof : public ::testing::TestWithParam<FaultRow> {};
+
+TEST_P(FaultPlanProof, FaultyFleetFilesNoFindingTheCleanRunLacks) {
+  // A case can touch many distinct victim sites (one per model leg), so the
+  // retry budget is generous; faults are in-process, so no backoff.
+  PipelineConfig config;
+  config.executor.retry.attempts = 64;
+  config.executor.retry.backoff_base_ms = 0;
+  config.executor.retry.backoff_max_ms = 0;
+  const Pipeline pipeline(config);
+  const auto fleet = impls::make_all_implementations();
+  const PipelineResult clean = pipeline.run(fleet);
+
+  auto plan = std::make_shared<net::FaultPlan>(GetParam().plan);
+  const PipelineResult faulty =
+      pipeline.run(net::wrap_fleet_with_faults(fleet, plan));
+  const ExecutorStats& es = faulty.exec_stats;
+  ASSERT_GT(plan->stats().injected, 0u) << "the plan injected no fault";
+  EXPECT_GT(es.recovered_cases, 0u);
+
+  const std::set<std::string> clean_keys = finding_keys(clean.findings);
+  for (const std::string& key : finding_keys(faulty.findings)) {
+    EXPECT_TRUE(clean_keys.contains(key)) << "false differential: " << key;
+  }
+  // With every case recovered, the findings are byte-identical.
+  if (es.quarantined_cases == 0) {
+    expect_same_findings(clean.findings, faulty.findings);
+  }
+}
+
+net::FaultPlanConfig fault_plan(std::size_t max_faults_per_site) {
+  net::FaultPlanConfig plan;
+  plan.rate = 0.3;
+  plan.seed = 1;
+  plan.max_faults_per_site = max_faults_per_site;
+  return plan;
+}
+
+net::FaultPlanConfig harsher_plan() {
+  net::FaultPlanConfig plan = fault_plan(2);
+  plan.kinds = {net::FaultKind::kDelay, net::FaultKind::kStall,
+                net::FaultKind::kReset, net::FaultKind::kTruncate,
+                net::FaultKind::kConnectFail};
+  plan.delay_ms = 0;
+  return plan;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    E10, FaultPlanProof,
+    ::testing::Values(FaultRow{"DefaultPlan", fault_plan(1)},
+                      FaultRow{"HarsherPlan", harsher_plan()}),
+    [](const ::testing::TestParamInfo<FaultRow>& row) {
+      return std::string(row.param.name);
+    });
 
 }  // namespace
 }  // namespace hdiff::core

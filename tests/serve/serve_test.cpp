@@ -1,17 +1,21 @@
 // The `hdiff serve` layer: deterministic shard assignment, durable shard
 // result files (torn/stale rejection, hole detection on merge), the
-// control-plane HTTP pump, and the supervisor itself — in-process shards
-// byte-identical to the single-process engine, and a permanently-crashing
-// worker binary degraded into quarantined inline execution without losing
-// the round.
+// control-plane HTTP pump and its client, and the supervisor itself —
+// in-process shards byte-identical to the single-process engine, a
+// permanently-crashing worker binary degraded into quarantined inline
+// execution without losing the round, and forked `hdiff serve-worker`
+// processes leaving the single-process bytes under SIGKILLs, a hang, and a
+// drain + resume.
 #include "serve/supervisor.h"
 
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -32,6 +36,8 @@
 #include "serve/flight.h"
 #include "serve/introspect.h"
 #include "serve/worker.h"
+
+#include "../campaign/coverage_fixture.h"
 
 namespace hdiff::serve {
 namespace {
@@ -451,6 +457,33 @@ TEST(ServeLoop, HandlerExceptionIs500) {
   EXPECT_NE(reply.find("HTTP/1.1 500"), std::string::npos) << reply;
 }
 
+TEST(ControlClient, ReadsExactlyAThreeDigitStatus) {
+  struct Row {
+    const char* what;
+    std::string reply;
+    int status;
+    std::string body;
+  };
+  const std::vector<Row> rows = {
+      {"good reply", "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", 200,
+       "ok"},
+      {"garbled status", "HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\nok", 0,
+       ""},
+      {"signed status", "HTTP/1.1 -20 OK\r\n\r\nok", 0, ""},
+      {"zero-padded status", "HTTP/1.1 020 OK\r\n\r\nok", 0, ""},
+      {"four-digit status", "HTTP/1.1 2000 OK\r\n\r\nok", 0, ""},
+      {"short reply", "HTTP/1.1 20", 0, ""},
+      {"no reply", "", 0, ""},
+      {"empty body", "HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n",
+       202, ""},
+  };
+  for (const Row& row : rows) {
+    const net::ControlProbe probe = net::parse_control_reply(row.reply);
+    EXPECT_EQ(probe.status, row.status) << row.what;
+    EXPECT_EQ(probe.body, row.body) << row.what;
+  }
+}
+
 // ---- supervisor -----------------------------------------------------------
 
 campaign::CampaignConfig small_campaign(const std::string& dir) {
@@ -760,15 +793,15 @@ TEST(Worker, StaleAsksAreRefusedAndPublishNothing) {
 
 // ---- cross-process observability ------------------------------------------
 
-/// Run an in-process supervisor with `shards` shards, absorbing every
-/// shard's scratch registry into `fleet_metrics`.
-ServeReport run_observed(const std::string& dir, std::size_t shards,
+/// Run `campaign` on an in-process supervisor with `shards` shards,
+/// absorbing every shard's scratch registry into `fleet_metrics`.
+ServeReport run_observed(campaign::CampaignConfig campaign, std::size_t shards,
                          obs::Registry* registry, FleetMetrics* fleet_metrics,
                          obs::TraceSink* sink,
                          const std::vector<std::unique_ptr<
                              impls::HttpImplementation>>& fleet) {
   ServeConfig config;
-  config.campaign = small_campaign(dir);
+  config.campaign = std::move(campaign);
   config.shards = shards;
   config.obs.metrics = registry;
   config.obs.trace = sink;
@@ -806,15 +839,17 @@ TEST(Supervisor, MergedMetricTotalsAreShardCountInvariant) {
   obs::Registry reg_a;
   FleetMetrics fleet_a(&reg_a);
   obs::TraceSink sink_a;
-  ASSERT_TRUE(
-      run_observed(dir_a, 1, &reg_a, &fleet_a, &sink_a, fleet).error.empty());
+  ASSERT_TRUE(run_observed(small_campaign(dir_a), 1, &reg_a, &fleet_a,
+                           &sink_a, fleet)
+                  .error.empty());
 
   const std::string dir_b = fresh_dir("obs-3shard");
   obs::Registry reg_b;
   FleetMetrics fleet_b(&reg_b);
   obs::TraceSink sink_b;
-  ASSERT_TRUE(
-      run_observed(dir_b, 3, &reg_b, &fleet_b, &sink_b, fleet).error.empty());
+  ASSERT_TRUE(run_observed(small_campaign(dir_b), 3, &reg_b, &fleet_b,
+                           &sink_b, fleet)
+                  .error.empty());
 
   const std::uint64_t observed_a =
       hist_count_of(reg_a, "hdiff_chain_observe_micros");
@@ -854,14 +889,9 @@ TEST(Supervisor, EventsQueryRejectsAMalformedSince) {
   Supervisor supervisor(config, fleet);
   const std::uint16_t port = supervisor.port();
   std::thread runner([&] { supervisor.run(); });
-  const auto status_of = [&](const std::string& method,
-                             const std::string& target) {
-    const std::string request = method + " " + target +
-                                " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                                "Content-Length: 0\r\n\r\n";
+  const auto status_of = [&](const char* method, const std::string& target) {
     // The control plane is pumped between rounds; wait it out.
-    const net::TcpResult result = net::tcp_roundtrip(port, request, 10000);
-    return result.bytes.size() < 12 ? 0 : std::stoi(result.bytes.substr(9, 3));
+    return net::control_get(port, method, target, 10000).status;
   };
   EXPECT_EQ(status_of("GET", "/events?since=abc"), 400);
   EXPECT_EQ(status_of("GET", "/events?since=-1"), 400);
@@ -898,6 +928,247 @@ TEST(Supervisor, FlightRecorderPersistsTheRunLifecycle) {
   }
   EXPECT_TRUE(saw_start);
   EXPECT_TRUE(saw_commit);
+  fs::remove_all(dir);
+}
+
+
+// ---- forked workers: the real `hdiff serve-worker` -------------------------
+//
+// HDIFF_CLI names the hdiff binary of this build.  The supervisor forks it
+// as `hdiff serve-worker`, so these proofs also cover the worker's flags,
+// heartbeats and durable results.
+
+/// The campaign the forked-worker proofs run, coverage on.  The workers
+/// rebuild it from the flags forked_serve passes and take the coverage plan
+/// from the checkpoint.
+campaign::CampaignConfig forked_campaign(const std::string& dir,
+                                         std::size_t rounds) {
+  campaign::CampaignConfig config;
+  config.state_dir = dir;
+  config.rounds = rounds;
+  config.budget_per_round = 24;
+  config.executor.jobs = 1;
+  config.bootstrap = core::verification_probes();
+  config.coverage = campaign::coverage_fixture();
+  return config;
+}
+
+ServeConfig forked_serve(const std::string& dir, std::size_t rounds,
+                         std::size_t shards) {
+  ServeConfig config;
+  config.campaign = forked_campaign(dir, rounds);
+  config.shards = shards;
+  config.worker_binary = HDIFF_CLI;
+  config.worker_args = {"--mini", "--budget", "24", "--jobs", "1"};
+  config.heartbeat_interval_ms = 60;
+  return config;
+}
+
+/// A state dir's corpus/ as one comparable string: every file name and its
+/// bytes, in name order.
+std::string corpus_image(const std::string& dir) {
+  std::set<std::string> names;
+  std::error_code ec;
+  for (const auto& f : fs::directory_iterator(dir + "/corpus", ec)) {
+    names.insert(f.path().filename().string());
+  }
+  std::string image;
+  for (const std::string& name : names) {
+    image += name + '\0' + slurp(dir + "/corpus/" + name) + '\0';
+  }
+  return image;
+}
+
+void expect_same_state(const std::string& ref_dir, const std::string& dir) {
+  const campaign::StateStore ref(ref_dir), got(dir);
+  EXPECT_TRUE(slurp(ref.state_path()) == slurp(got.state_path()))
+      << "campaign.state differs";
+  EXPECT_TRUE(slurp(ref.findings_path()) == slurp(got.findings_path()))
+      << "findings.jsonl differs";
+  const std::string corpus = corpus_image(ref_dir);
+  EXPECT_FALSE(corpus.empty());
+  EXPECT_TRUE(corpus == corpus_image(dir)) << "corpus/ differs";
+}
+
+/// The kinds of the flight events persisted in `dir`; their seqs must
+/// strictly increase.
+std::set<std::string> flight_kinds(const std::string& dir) {
+  FlightRecorder flight(dir);
+  flight.load();
+  std::set<std::string> kinds;
+  std::uint64_t prev = 0;
+  for (const FlightEvent& event : flight.events_since(0)) {
+    EXPECT_GT(event.seq, prev) << event.kind;
+    prev = event.seq;
+    kinds.insert(event.kind);
+  }
+  return kinds;
+}
+
+TEST(ForkedWorkers, ChaosLeavesTheSingleProcessBytes) {
+  const auto fleet = impls::make_all_implementations();
+  const std::string ref_dir = fresh_dir("chaos-ref");
+  const campaign::CampaignReport ref =
+      campaign::CampaignEngine(forked_campaign(ref_dir, 2)).run(fleet);
+  ASSERT_TRUE(ref.error.empty()) << ref.error;
+
+  // Four forked shards: two workers SIGKILLed in round 1, one SIGSTOPped in
+  // round 2 (a hang: heartbeat timeout, SIGKILL, respawn).  Observability
+  // is on here and off in the reference, so equal bytes also show that it
+  // does not perturb findings.
+  const std::string dir = fresh_dir("chaos");
+  ServeConfig config = forked_serve(dir, 2, 4);
+  config.quarantine_after = 10;  // keep respawning; never run a shard inline
+  obs::Registry registry;
+  FleetMetrics fleet_metrics(&registry);
+  obs::TraceSink sink;
+  sink.set_process_name("supervisor");
+  config.obs.metrics = &registry;
+  config.obs.trace = &sink;
+  config.campaign.obs.metrics = &registry;
+  config.fleet = &fleet_metrics;
+  using Chaos = ChaosAction;
+  config.chaos = {
+      Chaos{.round = 1, .shard = 0, .kind = Chaos::Kind::kKill, .delay_ms = 0},
+      Chaos{.round = 1, .shard = 2, .kind = Chaos::Kind::kKill, .delay_ms = 0},
+      Chaos{.round = 2, .shard = 1, .kind = Chaos::Kind::kStop, .delay_ms = 0},
+  };
+  const ServeReport report = Supervisor(config, fleet).run();
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  // The chaos engaged.
+  EXPECT_GE(report.worker_deaths, 3u);
+  EXPECT_GE(report.worker_hangs, 1u);
+  EXPECT_GE(report.worker_restarts, 3u);
+  expect_same_state(ref_dir, dir);
+
+  // Worker observations travel only inside adopted shard results, so the
+  // partial counts of killed workers are dropped and the merged totals
+  // equal a run with every shard inline in the supervisor.
+  const std::string inline_dir = fresh_dir("chaos-inline");
+  obs::Registry inline_registry;
+  FleetMetrics inline_fleet(&inline_registry);
+  ASSERT_TRUE(run_observed(forked_campaign(inline_dir, 2), 4, &inline_registry,
+                           &inline_fleet, nullptr, fleet)
+                  .error.empty());
+  EXPECT_GT(counter_of(registry, "hdiff_campaign_cases_total"), 0u);
+  for (const char* name :
+       {"hdiff_campaign_rounds_total", "hdiff_campaign_cases_total",
+        "hdiff_campaign_novel_total", "hdiff_campaign_duplicate_total"}) {
+    EXPECT_EQ(counter_of(registry, name), counter_of(inline_registry, name))
+        << name;
+  }
+  const std::uint64_t observed =
+      hist_count_of(registry, "hdiff_chain_observe_micros");
+  EXPECT_GT(observed, 0u);
+  EXPECT_EQ(observed,
+            hist_count_of(inline_registry, "hdiff_chain_observe_micros"));
+  const std::string exposition = fleet_metrics.render();
+  EXPECT_NE(exposition.find("process=\"worker\",shard=\"all\""),
+            std::string::npos);
+  EXPECT_NE(exposition.find("hdiff_chain_observe_micros_count"),
+            std::string::npos);
+
+  // The stitched trace has the supervisor's track and the workers'.
+  const std::string trace = sink.render_chrome_json();
+  std::size_t tracks = 0;
+  for (std::size_t at = 0;
+       (at = trace.find("\"process_name\"", at)) != std::string::npos; ++at) {
+    ++tracks;
+  }
+  EXPECT_GE(tracks, 2u);
+  EXPECT_NE(trace.find("supervisor"), std::string::npos);
+  EXPECT_NE(trace.find("worker shard"), std::string::npos);
+
+  // The flight recorder replays the whole chaos lifecycle.
+  const std::set<std::string> kinds = flight_kinds(dir);
+  for (const char* kind : {"start", "spawn", "worker_death", "hang_kill",
+                           "restart", "round_commit"}) {
+    EXPECT_TRUE(kinds.contains(kind)) << kind;
+  }
+  fs::remove_all(ref_dir);
+  fs::remove_all(dir);
+  fs::remove_all(inline_dir);
+}
+
+TEST(ForkedWorkers, StopThenResumeLeavesTheUninterruptedBytes) {
+  const auto fleet = impls::make_all_implementations();
+  const std::string ref_dir = fresh_dir("drain-ref");
+  const campaign::CampaignReport ref =
+      campaign::CampaignEngine(forked_campaign(ref_dir, 4)).run(fleet);
+  ASSERT_TRUE(ref.error.empty()) << ref.error;
+
+  const std::string dir = fresh_dir("drain");
+  ServeConfig config = forked_serve(dir, 4, 2);
+  obs::Registry registry;
+  FleetMetrics fleet_metrics(&registry);
+  config.obs.metrics = &registry;
+  config.campaign.obs.metrics = &registry;
+  config.fleet = &fleet_metrics;
+  std::atomic<bool> run_done{false};
+  std::atomic<bool> stop_posted{false};
+  std::atomic<bool> health_ok{false};
+  // Written by the stopper, read only after it joins.
+  std::string live_status, live_events;
+  ServeReport drained;
+  {
+    Supervisor supervisor(config, fleet);
+    const std::uint16_t port = supervisor.port();
+    // Once a round is committed, read /status and /events, then POST stop.
+    std::thread stopper([&] {
+      while (!run_done.load()) {
+        if (net::control_get(port, "GET", "/healthz").status == 200) {
+          health_ok.store(true);
+        }
+        const net::ControlProbe status =
+            net::control_get(port, "GET", "/status");
+        if (status.status == 200 && !status.body.empty() &&
+            status.body.find("\"rounds_completed\":0") == std::string::npos) {
+          live_status = status.body;
+          const net::ControlProbe events =
+              net::control_get(port, "GET", "/events?since=0");
+          if (events.status == 200) live_events = events.body;
+          if (net::control_get(port, "POST", "/campaigns/default/stop")
+                  .status == 202) {
+            stop_posted.store(true);
+            return;
+          }
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    });
+    drained = supervisor.run();
+    run_done.store(true);
+    stopper.join();
+  }
+  ASSERT_TRUE(drained.error.empty()) << drained.error;
+  ASSERT_TRUE(stop_posted.load() && drained.drained)
+      << "the campaign finished before the stop landed";
+  EXPECT_TRUE(health_ok.load()) << "/healthz never answered 200";
+  EXPECT_NE(live_events.find("\"next_seq\":"), std::string::npos)
+      << live_events;
+  EXPECT_NE(live_events.find("\"kind\":\"spawn\""), std::string::npos)
+      << live_events;
+  EXPECT_NE(live_status.find("\"last_heartbeat_ms\":"), std::string::npos)
+      << live_status;
+
+  const ServeReport resumed = Supervisor(config, fleet).run();
+  ASSERT_TRUE(resumed.error.empty()) << resumed.error;
+  EXPECT_TRUE(resumed.resumed);
+  expect_same_state(ref_dir, dir);
+
+  // Flight seqs continue across the two supervisor lives, and the file
+  // replays both.
+  const std::set<std::string> kinds = flight_kinds(dir);
+  for (const char* kind :
+       {"start", "stop", "drain", "resume", "round_commit"}) {
+    EXPECT_TRUE(kinds.contains(kind)) << kind;
+  }
+  // Every probe the stopper sent was counted per (target, status).
+  EXPECT_NE(fleet_metrics.render().find(
+                "hdiff_serve_control_requests_total{target=\"/status\","
+                "status=\"200\"}"),
+            std::string::npos);
+  fs::remove_all(ref_dir);
   fs::remove_all(dir);
 }
 

@@ -43,12 +43,6 @@ reject --jobs              run --corpus $missing --jobs 2x
 reject --retries           run --corpus $missing --retries 99999999999
 reject --case-deadline-ms  run --corpus $missing --case-deadline-ms -1
 reject --jobs              stats --jobs abc
-reject --jobs              selftest --jobs 0
-reject --retries           selftest --retries 010
-reject --seconds           selftest --seconds 0
-reject "--fault-plan seed" selftest --fault-plan seed=x
-reject "--fault-plan delay" selftest --fault-plan delay=1x
-reject --fault-plan        selftest --fault-plan rate=2
 reject --jobs              lint --jobs 1x
 reject --rounds            campaign status --state-dir $missing --rounds 2x
 reject --rounds            campaign status --state-dir $missing --rounds 99999999999999999999

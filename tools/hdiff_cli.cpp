@@ -20,9 +20,6 @@
 //   hdiff stats [--jobs N]             run the pipeline with metrics enabled
 //                                      and print the stage timings and the
 //                                      full metrics snapshot
-//   hdiff selftest [--fault-plan SPEC] run the pipeline against a
-//                                      deliberately faulty fleet and assert
-//                                      zero fault-induced false differentials
 //   hdiff lint [docs...] [--all-corpus] [--jobs N] [--json FILE]
 //              [--no-default-waivers]  static spec-lint: grammar analysis
 //                                      (left recursion, ambiguity, dead
@@ -58,18 +55,9 @@
 //                                      /status and /events and render round
 //                                      progress, worker health, and
 //                                      lifecycle events
-//   hdiff selftest --serve             chaos proof: supervisor state and
-//                                      findings byte-identical to the
-//                                      single-process engine under worker
-//                                      SIGKILLs, a hang, and drain + resume
-//   hdiff selftest --serve-soak        /healthz never unready > 2 heartbeat
-//                  [--seconds N]       intervals under continuous random
-//                                      worker SIGKILLs
 //   hdiff audit FRONT BACK             audit one proxy/origin combination
 //   hdiff parse IMPL                   parse one raw request from stdin
 //                                      under IMPL's model and show HMetrics
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -77,14 +65,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <type_traits>
 
-#include <filesystem>
 #include <unistd.h>
 
 #include "analysis/lint.h"
@@ -97,11 +83,9 @@
 #include "core/probes.h"
 #include "core/record.h"
 #include "impls/products.h"
-#include "net/fault.h"
-#include "net/tcp.h"
 #include "obs/obs.h"
 #include "report/table.h"
-#include "serve/flight.h"
+#include "serve/control.h"
 #include "serve/supervisor.h"
 #include "serve/worker.h"
 
@@ -124,26 +108,11 @@ int usage() {
       "                               text snapshot\n"
       "  stats [--jobs N]             run with metrics enabled and print the\n"
       "                               stage timings and metrics snapshot\n"
-      "  selftest [--fault-plan SPEC] [--jobs N] [--retries N]\n"
-      "                               fault-plan self-test: run the chain\n"
-      "                               against deliberately faulty models and\n"
-      "                               assert zero false differentials\n"
-      "                               (SPEC: rate=0.3,seed=1,max=1,nth=0,\n"
-      "                               delay=1,kinds=reset+truncate+connect)\n"
       "  lint [docs...] [--all-corpus] [--jobs N] [--json FILE]\n"
       "       [--no-default-waivers]  static spec-lint over the extracted\n"
       "                               grammar, the SR rule base, and the\n"
       "                               mutation operators; exit 0 = clean,\n"
       "                               3 = unwaived warnings, 4 = errors\n"
-      "  selftest --serve [--jobs N]  daemon self-test: assert the sharded\n"
-      "                               supervisor's findings are byte-identical\n"
-      "                               to the single-process engine under\n"
-      "                               worker SIGKILLs, a hang, and a\n"
-      "                               control-plane drain + resume\n"
-      "  selftest --serve-soak [--seconds N] [--jobs N]\n"
-      "                               soak: random worker SIGKILLs for N s\n"
-      "                               (default 60) asserting /healthz never\n"
-      "                               stays unready > 2 heartbeat intervals\n"
       "  campaign run|resume|status|minimize --state-dir DIR\n"
       "           [--rounds N] [--budget N] [--jobs N] [--json FILE]\n"
       "           [--mini] [--no-minimize] [--no-coverage] [--streams]\n"
@@ -184,13 +153,6 @@ std::vector<std::string_view> doc_args(int argc, char** argv, int from) {
   std::vector<std::string_view> docs;
   for (int i = from; i < argc; ++i) docs.emplace_back(argv[i]);
   return docs;
-}
-
-/// The file's bytes, or "" when it cannot be read.
-std::string read_bytes(const std::string& path) {
-  std::string out;
-  if (!hdiff::core::read_file(path, &out)) out.clear();
-  return out;
 }
 
 /// Store `value`, the argument of the numeric flag `flag`, in `*out`: a
@@ -494,215 +456,6 @@ int cmd_stats(int argc, char** argv) {
   return 0;
 }
 
-// ---- selftest: fault-plan self-test (graceful-degradation proof) ----------
-
-/// Parse "rate=0.3,seed=7,max=1,nth=0,delay=1,kinds=reset+truncate" into a
-/// FaultPlanConfig.  Unknown keys and malformed values are rejected.
-bool parse_fault_plan(std::string_view spec,
-                      hdiff::net::FaultPlanConfig* out) {
-  std::stringstream ss{std::string(spec)};
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string key = item.substr(0, eq);
-    const std::string flag = "--fault-plan " + key;
-    const char* value = item.c_str() + eq + 1;
-    if (key == "rate") {
-      char* end = nullptr;
-      out->rate = std::strtod(value, &end);
-      if (end == value || *end != '\0' || !(out->rate >= 0 && out->rate <= 1))
-        return false;
-    } else if (key == "seed") {
-      numeric_flag(flag.c_str(), value, 0,
-                   std::numeric_limits<std::uint64_t>::max(), &out->seed);
-    } else if (key == "max") {
-      numeric_flag(flag.c_str(), value, 0, 1000000, &out->max_faults_per_site);
-    } else if (key == "nth") {
-      numeric_flag(flag.c_str(), value, 0, 1000000, &out->every_nth);
-    } else if (key == "delay") {
-      numeric_flag(flag.c_str(), value, 0, kMaxMillis, &out->delay_ms);
-    } else if (key == "kinds") {
-      out->kinds.clear();
-      std::stringstream ks{std::string(value)};
-      std::string kind;
-      while (std::getline(ks, kind, '+')) {
-        if (kind == "reset") out->kinds.push_back(hdiff::net::FaultKind::kReset);
-        else if (kind == "truncate")
-          out->kinds.push_back(hdiff::net::FaultKind::kTruncate);
-        else if (kind == "connect")
-          out->kinds.push_back(hdiff::net::FaultKind::kConnectFail);
-        else if (kind == "stall")
-          out->kinds.push_back(hdiff::net::FaultKind::kStall);
-        else if (kind == "delay")
-          out->kinds.push_back(hdiff::net::FaultKind::kDelay);
-        else return false;
-      }
-      if (out->kinds.empty()) return false;
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::set<std::string> pair_keys(const hdiff::core::DetectionResult& r) {
-  std::set<std::string> keys;
-  for (const auto& p : r.pairs) {
-    keys.insert(p.front + "|" + p.back + "|" +
-                std::string(to_string(p.attack)));
-  }
-  return keys;
-}
-
-std::set<std::string> violation_keys(const hdiff::core::DetectionResult& r) {
-  std::set<std::string> keys;
-  for (const auto& v : r.violations) keys.insert(v.impl + "|" + v.sr_id);
-  return keys;
-}
-
-bool findings_identical(const hdiff::core::DetectionResult& a,
-                        const hdiff::core::DetectionResult& b) {
-  if (a.violations.size() != b.violations.size() ||
-      a.pairs.size() != b.pairs.size())
-    return false;
-  for (std::size_t i = 0; i < a.violations.size(); ++i) {
-    if (a.violations[i].impl != b.violations[i].impl ||
-        a.violations[i].sr_id != b.violations[i].sr_id ||
-        a.violations[i].uuid != b.violations[i].uuid ||
-        a.violations[i].detail != b.violations[i].detail)
-      return false;
-  }
-  for (std::size_t i = 0; i < a.pairs.size(); ++i) {
-    if (a.pairs[i].front != b.pairs[i].front ||
-        a.pairs[i].back != b.pairs[i].back ||
-        a.pairs[i].attack != b.pairs[i].attack ||
-        a.pairs[i].uuid != b.pairs[i].uuid ||
-        a.pairs[i].detail != b.pairs[i].detail)
-      return false;
-  }
-  return a.discrepancies.status_disagreements ==
-             b.discrepancies.status_disagreements &&
-         a.discrepancies.host_disagreements ==
-             b.discrepancies.host_disagreements &&
-         a.discrepancies.body_disagreements ==
-             b.discrepancies.body_disagreements &&
-         a.discrepancies.inputs_with_discrepancy ==
-             b.discrepancies.inputs_with_discrepancy &&
-         a.vector_hits == b.vector_hits;
-}
-
-int selftest_serve(std::size_t jobs);     // defined with the serve CLI
-int selftest_serve_soak(int seconds, std::size_t jobs);
-
-int cmd_selftest(int argc, char** argv) {
-  hdiff::net::FaultPlanConfig plan_config;
-  plan_config.rate = 0.3;
-  plan_config.max_faults_per_site = 1;
-  bool serve_mode = false;
-  bool serve_soak_mode = false;
-  int soak_seconds = 60;
-  hdiff::core::PipelineConfig config;
-  // A case can touch many distinct victim sites (one per model leg), so the
-  // default retry budget is generous: with the default one-fault-per-site
-  // plan every case converges and findings come out byte-identical.
-  config.executor.retry.attempts = 64;
-  // Faults are injected in-process; waiting between attempts would only
-  // slow the self-test down without exercising anything.
-  config.executor.retry.backoff_base_ms = 0;
-  config.executor.retry.backoff_max_ms = 0;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--serve") == 0) {
-      serve_mode = true;
-    } else if (std::strcmp(argv[i], "--serve-soak") == 0) {
-      serve_soak_mode = true;
-    } else if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-      numeric_flag("--seconds", argv[++i], 1, 86400, &soak_seconds);
-    } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
-      if (!parse_fault_plan(argv[++i], &plan_config)) {
-        std::fprintf(stderr, "bad --fault-plan spec %s\n", argv[i]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      numeric_flag("--jobs", argv[++i], 1, kMaxJobs, &config.executor.jobs);
-    } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      numeric_flag("--retries", argv[++i], 1, kMaxRetries,
-                   &config.executor.retry.attempts);
-    } else {
-      std::fprintf(stderr, "unknown selftest option %s\n", argv[i]);
-      return 2;
-    }
-  }
-
-  if (serve_soak_mode) {
-    return selftest_serve_soak(soak_seconds, config.executor.jobs);
-  }
-  if (serve_mode) return selftest_serve(config.executor.jobs);
-
-  hdiff::core::Pipeline pipeline(config);
-  auto fleet = hdiff::impls::make_all_implementations();
-  std::printf("fault-free reference run...\n");
-  hdiff::core::PipelineResult baseline = pipeline.run(fleet);
-
-  auto plan = std::make_shared<hdiff::net::FaultPlan>(plan_config);
-  auto faulty = hdiff::net::wrap_fleet_with_faults(fleet, plan);
-  std::printf(
-      "degraded run (rate=%.2f seed=%llu max=%zu nth=%zu, %d retries)...\n",
-      plan_config.rate,
-      static_cast<unsigned long long>(plan_config.seed),
-      plan_config.max_faults_per_site, plan_config.every_nth,
-      config.executor.retry.attempts);
-  hdiff::core::PipelineResult degraded = pipeline.run(faulty);
-
-  const hdiff::net::FaultPlan::Stats fs = plan->stats();
-  const hdiff::core::ExecutorStats& es = degraded.exec_stats;
-  std::printf(
-      "injected %zu fault(s) over %zu model call(s); %zu faulted attempt(s), "
-      "%zu retried, %zu recovered, %zu quarantined\n",
-      fs.injected, fs.calls, es.faulted_attempts, es.retry_attempts,
-      es.recovered_cases, es.quarantined_cases);
-
-  // Core guarantee: no fault-induced false differentials — every finding of
-  // the degraded run must exist in the fault-free run.
-  const auto base_pairs = pair_keys(baseline.findings);
-  const auto base_violations = violation_keys(baseline.findings);
-  std::size_t phantom = 0;
-  for (const auto& key : pair_keys(degraded.findings)) {
-    if (!base_pairs.count(key)) {
-      std::printf("FALSE DIFFERENTIAL (pair): %s\n", key.c_str());
-      ++phantom;
-    }
-  }
-  for (const auto& key : violation_keys(degraded.findings)) {
-    if (!base_violations.count(key)) {
-      std::printf("FALSE DIFFERENTIAL (violation): %s\n", key.c_str());
-      ++phantom;
-    }
-  }
-  if (phantom > 0) {
-    std::printf("selftest FAILED: %zu fault-induced finding(s)\n", phantom);
-    return 1;
-  }
-  // With every case recovered, the findings must be byte-identical.
-  if (es.quarantined_cases == 0 &&
-      !findings_identical(baseline.findings, degraded.findings)) {
-    std::printf(
-        "selftest FAILED: zero quarantine but findings differ from the "
-        "fault-free run\n");
-    return 1;
-  }
-  if (es.quarantined_cases == 0) {
-    std::printf(
-        "selftest PASSED: findings byte-identical to the fault-free run\n");
-  } else {
-    std::printf(
-        "selftest PASSED: no false differentials (%zu case(s) quarantined, "
-        "coverage reduced)\n",
-        es.quarantined_cases);
-  }
-  return 0;
-}
-
 // ---- lint: static spec-lint over grammar, rule base, mutation set --------
 
 int cmd_lint(int argc, char** argv) {
@@ -946,22 +699,6 @@ int cmd_campaign(int argc, char** argv) {
   return 0;
 }
 
-/// A state dir's corpus/ as one comparable string: every file name and
-/// its bytes, in name order.
-std::string corpus_image(const std::string& state_dir) {
-  namespace fs = std::filesystem;
-  std::set<std::string> names;
-  std::error_code ec;
-  for (const auto& f : fs::directory_iterator(state_dir + "/corpus", ec)) {
-    names.insert(f.path().filename().string());
-  }
-  std::string image;
-  for (const auto& name : names) {
-    image += name + '\0' + read_bytes(state_dir + "/corpus/" + name) + '\0';
-  }
-  return image;
-}
-
 // ---- hdiff serve: supervised, crash-tolerant campaign daemon --------------
 
 /// SIGTERM/SIGINT set this; the supervisor polls it and drains gracefully
@@ -970,10 +707,8 @@ volatile std::sig_atomic_t g_serve_drain = 0;
 
 void serve_drain_handler(int) { g_serve_drain = 1; }
 
-/// The running hdiff binary, for spawning serve-worker children.  The
-/// HDIFF_BIN env var overrides (tests driving a copied/renamed binary).
+/// The running hdiff binary, for spawning serve-worker children.
 std::string self_exe_path() {
-  if (const char* hint = std::getenv("HDIFF_BIN"); hint && *hint) return hint;
   char buf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
   if (n > 0) return std::string(buf, static_cast<std::size_t>(n));
@@ -1233,27 +968,6 @@ int cmd_serve(int argc, char** argv) {
   }
 }
 
-// ---- selftest --serve: sharded-daemon acceptance proof --------------------
-
-struct ControlProbe {
-  int status = 0;            ///< 0 = transport failure
-  std::string body;
-};
-
-ControlProbe control_get(std::uint16_t port, const std::string& method,
-                         const std::string& target) {
-  const std::string request = method + " " + target +
-                              " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                              "Content-Length: 0\r\n\r\n";
-  hdiff::net::TcpResult result = hdiff::net::tcp_roundtrip(port, request);
-  ControlProbe probe;
-  if (!result.ok() || result.bytes.size() < 12) return probe;
-  probe.status = std::atoi(result.bytes.c_str() + 9);
-  const std::size_t body = result.bytes.find("\r\n\r\n");
-  if (body != std::string::npos) probe.body = result.bytes.substr(body + 4);
-  return probe;
-}
-
 // ---- hdiff tail: live dashboard over /status + /events --------------------
 
 /// Value of `"key":<number>` scanning from `from`; the control plane emits
@@ -1282,7 +996,8 @@ std::string json_str(const std::string& body, const std::string& key,
 /// failure (daemon gone or not yet up).  `next_seq` carries the /events
 /// cursor between polls so only new lifecycle events print.
 bool tail_once(std::uint16_t port, std::uint64_t* next_seq) {
-  ControlProbe status = control_get(port, "GET", "/status");
+  hdiff::net::ControlProbe status =
+      hdiff::net::control_get(port, "GET", "/status");
   if (status.status != 200) return false;
   const std::string& b = status.body;
 
@@ -1318,7 +1033,7 @@ bool tail_once(std::uint16_t port, std::uint64_t* next_seq) {
     ++at;
   }
 
-  ControlProbe events = control_get(
+  hdiff::net::ControlProbe events = hdiff::net::control_get(
       port, "GET", "/events?since=" + std::to_string(*next_seq));
   if (events.status == 200) {
     const std::string& e = events.body;
@@ -1394,535 +1109,6 @@ int cmd_tail(int argc, char** argv) {
   }
 }
 
-/// `selftest --serve`: prove the supervised sharded daemon byte-identical
-/// to the single-process engine under worker crashes, a hang, and a
-/// mid-campaign drain:
-///   1. reference: plain CampaignEngine run;
-///   2. chaos: 4-shard supervisor with two workers SIGKILLed mid-round and
-///      one SIGSTOPped (hang -> heartbeat timeout -> SIGKILL -> respawn);
-///      state and findings must match the reference byte for byte;
-///   3. drain: stop via POST /campaigns/default/stop mid-campaign, then a
-///      second supervisor resumes the same state dir to completion; final
-///      bytes must again match an uninterrupted reference.
-int selftest_serve(std::size_t jobs) {
-  namespace fs = std::filesystem;
-  namespace camp = hdiff::campaign;
-
-  const fs::path root = fs::temp_directory_path() /
-                        ("hdiff-selftest-serve-" + std::to_string(::getpid()));
-  std::error_code ec;
-  fs::remove_all(root, ec);
-
-  auto base_config = [&](const std::string& leaf, std::size_t rounds) {
-    camp::CampaignConfig config;
-    config.state_dir = (root / leaf).string();
-    config.rounds = rounds;
-    config.budget_per_round = 24;
-    config.executor.jobs = jobs == 0 ? 1 : jobs;
-    config.bootstrap = hdiff::core::verification_probes();
-    // Coverage on: the byte-identity comparisons below prove the sharded
-    // coverage-weighted schedule matches the single-process reference.
-    config.coverage = campaign_coverage_plan(false);
-    return config;
-  };
-  auto compare_dirs = [&](const std::string& ref_dir,
-                          const std::string& got_dir, const char* what) {
-    const camp::StateStore ref(ref_dir), got(got_dir);
-    int rc = 0;
-    if (read_bytes(ref.state_path()) != read_bytes(got.state_path())) {
-      std::printf("selftest FAILED: %s campaign.state differs\n", what);
-      rc = 1;
-    }
-    if (read_bytes(ref.findings_path()) != read_bytes(got.findings_path())) {
-      std::printf("selftest FAILED: %s findings.jsonl differs\n", what);
-      rc = 1;
-    }
-    if (corpus_image(ref_dir) != corpus_image(got_dir)) {
-      std::printf("selftest FAILED: %s corpus/ differs\n", what);
-      rc = 1;
-    }
-    return rc;
-  };
-
-  auto fleet = hdiff::impls::make_all_implementations();
-  const std::string self = self_exe_path();
-
-  // -- 1. single-process reference (2 mutation rounds) ----------------------
-  std::printf("reference: single-process 2-round campaign...\n");
-  camp::CampaignEngine reference(base_config("reference", 2));
-  camp::CampaignReport ref_report = reference.run(fleet);
-  if (!ref_report.error.empty()) {
-    std::printf("selftest FAILED: %s\n", ref_report.error.c_str());
-    return 1;
-  }
-
-  // -- 2. sharded supervisor under chaos ------------------------------------
-  std::printf(
-      "chaos: 4-shard supervisor, 2 worker SIGKILLs + 1 SIGSTOP hang...\n");
-  hdiff::serve::ServeConfig serve_config;
-  serve_config.campaign = base_config("chaos", 2);
-  serve_config.shards = 4;
-  serve_config.worker_binary = self;
-  serve_config.worker_args = {"--mini", "--budget", "24"};
-  serve_config.heartbeat_interval_ms = 60;
-  serve_config.quarantine_after = 10;  // keep respawning; never quarantine
-  // Observability rides along: worker registry snapshots and trace buffers
-  // ship inside the durable shard results and merge supervisor-side.  The
-  // byte-identity assertion below therefore also proves obs being on does
-  // not perturb findings (the reference ran with obs off).
-  hdiff::obs::Registry chaos_reg;
-  hdiff::serve::FleetMetrics chaos_fleet(&chaos_reg);
-  hdiff::obs::TraceSink chaos_sink;
-  chaos_sink.set_process_name("supervisor");
-  serve_config.obs.metrics = &chaos_reg;
-  serve_config.obs.trace = &chaos_sink;
-  serve_config.campaign.obs.metrics = &chaos_reg;
-  serve_config.fleet = &chaos_fleet;
-  using Chaos = hdiff::serve::ChaosAction;
-  serve_config.chaos = {
-      Chaos{.round = 1, .shard = 0, .kind = Chaos::Kind::kKill, .delay_ms = 0},
-      Chaos{.round = 1, .shard = 2, .kind = Chaos::Kind::kKill, .delay_ms = 0},
-      Chaos{.round = 2, .shard = 1, .kind = Chaos::Kind::kStop, .delay_ms = 0},
-  };
-  hdiff::serve::ServeReport chaos_report;
-  try {
-    hdiff::serve::Supervisor supervisor(serve_config, fleet);
-    chaos_report = supervisor.run();
-  } catch (const hdiff::net::ChainFault& fault) {
-    std::printf("selftest FAILED: %s\n", fault.what());
-    return 1;
-  }
-  if (!chaos_report.error.empty()) {
-    std::printf("selftest FAILED: %s\n", chaos_report.error.c_str());
-    return 1;
-  }
-  std::printf(
-      "chaos: %zu spawn(s), %zu death(s) (%zu hang), %zu restart(s)\n",
-      chaos_report.worker_spawns, chaos_report.worker_deaths,
-      chaos_report.worker_hangs, chaos_report.worker_restarts);
-  if (chaos_report.worker_deaths < 3 || chaos_report.worker_hangs < 1 ||
-      chaos_report.worker_restarts < 3) {
-    std::printf(
-        "selftest FAILED: chaos did not engage (want >=3 deaths incl. 1 "
-        "hang, >=3 restarts)\n");
-    return 1;
-  }
-  if (int rc = compare_dirs(base_config("reference", 2).state_dir,
-                            serve_config.campaign.state_dir, "chaos");
-      rc != 0) {
-    return rc;
-  }
-  std::printf(
-      "chaos: state, findings and corpus byte-identical to the reference\n");
-
-  // -- 2b. merged fleet metrics equal an --in-process run's -----------------
-  // Worker observations travel only inside adopted durable shard results,
-  // so crashed workers' partial counts are discarded and the merged totals
-  // must equal a run where every shard executes inline in the supervisor.
-  std::printf("obs: comparing merged fleet metrics with an in-process run...\n");
-  hdiff::serve::ServeConfig inproc_config;
-  inproc_config.campaign = base_config("inproc", 2);
-  inproc_config.shards = 4;
-  hdiff::obs::Registry inproc_reg;
-  hdiff::serve::FleetMetrics inproc_fleet(&inproc_reg);
-  inproc_config.obs.metrics = &inproc_reg;
-  inproc_config.campaign.obs.metrics = &inproc_reg;
-  inproc_config.fleet = &inproc_fleet;
-  try {
-    hdiff::serve::Supervisor inproc(inproc_config, fleet);
-    hdiff::serve::ServeReport inproc_report = inproc.run();
-    if (!inproc_report.error.empty()) {
-      std::printf("selftest FAILED: %s\n", inproc_report.error.c_str());
-      return 1;
-    }
-  } catch (const hdiff::net::ChainFault& fault) {
-    std::printf("selftest FAILED: %s\n", fault.what());
-    return 1;
-  }
-  auto counter_value = [](const hdiff::obs::Registry& reg,
-                          const std::string& name) -> long long {
-    for (const auto& [n, v] : reg.snapshot().counters) {
-      if (n == name) return static_cast<long long>(v);
-    }
-    return -1;
-  };
-  auto hist_count = [](const hdiff::obs::Registry& reg,
-                       const std::string& name) -> long long {
-    for (const auto& h : reg.snapshot().histograms) {
-      if (h.name == name) return static_cast<long long>(h.count);
-    }
-    return -1;
-  };
-  const char* equal_counters[] = {
-      "hdiff_campaign_rounds_total", "hdiff_campaign_cases_total",
-      "hdiff_campaign_novel_total", "hdiff_campaign_duplicate_total"};
-  int obs_rc = 0;
-  for (const char* name : equal_counters) {
-    const long long a = counter_value(chaos_reg, name);
-    const long long b = counter_value(inproc_reg, name);
-    if (a < 0 || a != b) {
-      std::printf("selftest FAILED: %s chaos=%lld in-process=%lld\n", name, a,
-                  b);
-      obs_rc = 1;
-    }
-  }
-  const long long chaos_obs = hist_count(chaos_reg, "hdiff_chain_observe_micros");
-  const long long inproc_obs =
-      hist_count(inproc_reg, "hdiff_chain_observe_micros");
-  if (chaos_obs <= 0 || chaos_obs != inproc_obs) {
-    std::printf(
-        "selftest FAILED: hdiff_chain_observe_micros count chaos=%lld "
-        "in-process=%lld (want equal and > 0)\n",
-        chaos_obs, inproc_obs);
-    obs_rc = 1;
-  }
-  if (obs_rc != 0) return obs_rc;
-  const std::string exposition = chaos_fleet.render();
-  if (exposition.find("process=\"worker\",shard=\"all\"") == std::string::npos ||
-      exposition.find("hdiff_chain_observe_micros_count") ==
-          std::string::npos) {
-    std::printf(
-        "selftest FAILED: merged exposition lacks worker-labeled series\n");
-    return 1;
-  }
-  std::printf(
-      "obs: chaos fleet totals equal the in-process run "
-      "(chain observations: %lld)\n",
-      chaos_obs);
-
-  // -- 2c. stitched trace: distinct supervisor and worker tracks ------------
-  const std::string trace_json = chaos_sink.render_chrome_json();
-  std::size_t tracks = 0;
-  for (std::size_t at = 0;
-       (at = trace_json.find("\"process_name\"", at)) != std::string::npos;
-       ++at) {
-    ++tracks;
-  }
-  if (tracks < 2 || trace_json.find("supervisor") == std::string::npos ||
-      trace_json.find("worker shard") == std::string::npos) {
-    std::printf(
-        "selftest FAILED: stitched trace wants a supervisor track and >=1 "
-        "worker track, got %zu process_name record(s)\n",
-        tracks);
-    return 1;
-  }
-  std::printf("trace: %zu process track(s) stitched\n", tracks);
-
-  // -- 2d. flight recorder replays the chaos lifecycle ----------------------
-  hdiff::serve::FlightRecorder chaos_flight(serve_config.campaign.state_dir);
-  chaos_flight.load();
-  const std::vector<hdiff::serve::FlightEvent> chaos_events =
-      chaos_flight.events_since(0);
-  std::set<std::string> kinds;
-  std::uint64_t prev_seq = 0;
-  bool monotonic = true;
-  for (const auto& event : chaos_events) {
-    if (event.seq <= prev_seq) monotonic = false;
-    prev_seq = event.seq;
-    kinds.insert(event.kind);
-  }
-  const char* want_kinds[] = {"start",     "spawn",        "worker_death",
-                              "hang_kill", "restart",      "round_commit"};
-  int flight_rc = monotonic ? 0 : 1;
-  if (!monotonic) {
-    std::printf("selftest FAILED: flight seqs not strictly increasing\n");
-  }
-  for (const char* kind : want_kinds) {
-    if (!kinds.count(kind)) {
-      std::printf("selftest FAILED: flight recorder missing \"%s\" event\n",
-                  kind);
-      flight_rc = 1;
-    }
-  }
-  if (flight_rc != 0) return flight_rc;
-  std::printf("flight: %zu event(s), full chaos lifecycle replayed\n",
-              chaos_events.size());
-
-  // -- 3. graceful drain + resume -------------------------------------------
-  std::printf("drain: stopping a 4-round campaign via the control plane...\n");
-  camp::CampaignEngine drain_reference(base_config("drain-reference", 4));
-  camp::CampaignReport drain_ref_report = drain_reference.run(fleet);
-  if (!drain_ref_report.error.empty()) {
-    std::printf("selftest FAILED: %s\n", drain_ref_report.error.c_str());
-    return 1;
-  }
-
-  hdiff::serve::ServeConfig drain_config;
-  drain_config.campaign = base_config("drain", 4);
-  drain_config.shards = 2;
-  drain_config.worker_binary = self;
-  drain_config.worker_args = {"--mini", "--budget", "24"};
-  drain_config.heartbeat_interval_ms = 60;
-  hdiff::obs::Registry drain_reg;
-  hdiff::serve::FleetMetrics drain_fleet(&drain_reg);
-  drain_config.obs.metrics = &drain_reg;
-  drain_config.campaign.obs.metrics = &drain_reg;
-  drain_config.fleet = &drain_fleet;
-  hdiff::serve::ServeReport drain_report;
-  std::atomic<bool> run_done{false};
-  std::atomic<bool> stop_posted{false};
-  std::atomic<bool> health_ok{false};
-  // Written by the stopper thread, read only after it joins.
-  std::string live_events_body, live_status_body;
-  try {
-    hdiff::serve::Supervisor supervisor(drain_config, fleet);
-    const std::uint16_t port = supervisor.port();
-    std::thread stopper([&] {
-      while (!run_done.load()) {
-        ControlProbe health = control_get(port, "GET", "/healthz");
-        if (health.status == 200) health_ok.store(true);
-        ControlProbe status = control_get(port, "GET", "/status");
-        if (status.status == 200 &&
-            status.body.find("\"rounds_completed\":0") == std::string::npos &&
-            !status.body.empty()) {
-          live_status_body = status.body;
-          ControlProbe live_events =
-              control_get(port, "GET", "/events?since=0");
-          if (live_events.status == 200) live_events_body = live_events.body;
-          ControlProbe stop =
-              control_get(port, "POST", "/campaigns/default/stop");
-          if (stop.status == 202) {
-            stop_posted.store(true);
-            return;
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    });
-    drain_report = supervisor.run();
-    run_done.store(true);
-    stopper.join();
-  } catch (const hdiff::net::ChainFault& fault) {
-    std::printf("selftest FAILED: %s\n", fault.what());
-    return 1;
-  }
-  if (!drain_report.error.empty()) {
-    std::printf("selftest FAILED: %s\n", drain_report.error.c_str());
-    return 1;
-  }
-  if (!stop_posted.load() || !drain_report.drained) {
-    std::printf(
-        "selftest FAILED: drain did not engage (stop posted: %d, drained: "
-        "%d) — the campaign finished before the stop landed\n",
-        stop_posted.load() ? 1 : 0, drain_report.drained ? 1 : 0);
-    return 1;
-  }
-  if (!health_ok.load()) {
-    std::printf("selftest FAILED: /healthz never answered 200\n");
-    return 1;
-  }
-  if (live_events_body.find("\"next_seq\":") == std::string::npos ||
-      live_events_body.find("\"kind\":\"spawn\"") == std::string::npos) {
-    std::printf(
-        "selftest FAILED: live GET /events lacks next_seq/spawn: %s\n",
-        live_events_body.c_str());
-    return 1;
-  }
-  if (live_status_body.find("\"last_heartbeat_ms\":") == std::string::npos) {
-    std::printf("selftest FAILED: /status lacks last_heartbeat_ms\n");
-    return 1;
-  }
-  std::printf("drain: committed %zu round(s) then stopped; resuming...\n",
-              drain_report.rounds_run);
-  try {
-    hdiff::serve::Supervisor resumer(drain_config, fleet);
-    hdiff::serve::ServeReport resume_report = resumer.run();
-    if (!resume_report.error.empty() || !resume_report.resumed) {
-      std::printf("selftest FAILED: resume failed (%s)\n",
-                  resume_report.error.c_str());
-      return 1;
-    }
-  } catch (const hdiff::net::ChainFault& fault) {
-    std::printf("selftest FAILED: %s\n", fault.what());
-    return 1;
-  }
-  if (int rc = compare_dirs(base_config("drain-reference", 4).state_dir,
-                            drain_config.campaign.state_dir, "drain+resume");
-      rc != 0) {
-    return rc;
-  }
-
-  // Flight seq numbering must continue across the two supervisor
-  // generations: the resumer's "resume" event carries a seq above every
-  // event the drained daemon persisted, and the file replays both lives.
-  hdiff::serve::FlightRecorder drain_flight(drain_config.campaign.state_dir);
-  drain_flight.load();
-  std::set<std::string> drain_kinds;
-  std::uint64_t drain_prev = 0;
-  bool drain_monotonic = true;
-  for (const auto& event : drain_flight.events_since(0)) {
-    if (event.seq <= drain_prev) drain_monotonic = false;
-    drain_prev = event.seq;
-    drain_kinds.insert(event.kind);
-  }
-  if (!drain_monotonic || !drain_kinds.count("start") ||
-      !drain_kinds.count("stop") || !drain_kinds.count("drain") ||
-      !drain_kinds.count("resume") || !drain_kinds.count("round_commit")) {
-    std::printf(
-        "selftest FAILED: flight events not continuous across restart "
-        "(monotonic=%d, %zu kind(s))\n",
-        drain_monotonic ? 1 : 0, drain_kinds.size());
-    return 1;
-  }
-  std::printf("flight: seq numbering continuous across drain + resume\n");
-
-  // Control-plane request counters (satellite): every probe the stopper
-  // sent was dispatched with metrics on, so the per-(target,status)
-  // counters must be present in the merged exposition.
-  const std::string drain_exposition = drain_fleet.render();
-  if (drain_exposition.find("hdiff_serve_control_requests_total{target=\"/"
-                            "status\",status=\"200\"}") == std::string::npos) {
-    std::printf(
-        "selftest FAILED: exposition lacks "
-        "hdiff_serve_control_requests_total{target=\"/status\",...}\n");
-    return 1;
-  }
-
-  std::printf(
-      "selftest PASSED: sharded daemon byte-identical to the single-process "
-      "engine under 2 SIGKILLs, 1 hang, and a drain+resume (%zu finding(s), "
-      "%zu corpus entr%s)\n",
-      chaos_report.total_findings, chaos_report.corpus_entries,
-      chaos_report.corpus_entries == 1 ? "y" : "ies");
-  fs::remove_all(root, ec);
-  return 0;
-}
-
-/// `selftest --serve-soak --seconds N`: run the daemon under continuous
-/// random worker SIGKILLs and assert /healthz is never unready for more
-/// than two heartbeat intervals (restart-within-one-interval plus detection
-/// slack).  Drains via the control plane at the deadline.
-int selftest_serve_soak(int seconds, std::size_t jobs) {
-  namespace fs = std::filesystem;
-  namespace camp = hdiff::campaign;
-
-  const fs::path root =
-      fs::temp_directory_path() /
-      ("hdiff-selftest-serve-soak-" + std::to_string(::getpid()));
-  std::error_code ec;
-  fs::remove_all(root, ec);
-
-  const int heartbeat_ms = 200;
-  hdiff::serve::ServeConfig config;
-  config.campaign.state_dir = (root / "soak").string();
-  config.campaign.rounds = 1000000;  // effectively: until drained
-  config.campaign.budget_per_round = 24;
-  config.campaign.executor.jobs = jobs == 0 ? 1 : jobs;
-  config.campaign.bootstrap = hdiff::core::verification_probes();
-  config.shards = 4;
-  config.worker_binary = self_exe_path();
-  config.worker_args = {"--mini", "--budget", "24"};
-  config.heartbeat_interval_ms = heartbeat_ms;
-  config.quarantine_after = 1 << 20;  // soak exercises respawn, not inline
-
-  auto fleet = hdiff::impls::make_all_implementations();
-  hdiff::serve::ServeReport report;
-  std::atomic<bool> run_done{false};
-  std::atomic<long> max_unready_ms{0};
-  std::atomic<long> kills{0};
-  try {
-    hdiff::serve::Supervisor supervisor(config, fleet);
-    const std::uint16_t port = supervisor.port();
-    std::printf("soak: %d s on 127.0.0.1:%u, heartbeat %d ms...\n", seconds,
-                static_cast<unsigned>(port), heartbeat_ms);
-
-    // Killer: SIGKILL a live worker pid from /status every ~150 ms.
-    std::thread killer([&] {
-      std::size_t turn = 0;
-      while (!run_done.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(150));
-        ControlProbe status = control_get(port, "GET", "/status");
-        if (status.status != 200) continue;
-        std::vector<long> pids;
-        std::size_t at = 0;
-        while ((at = status.body.find("\"pid\":", at)) != std::string::npos) {
-          const long pid = std::atol(status.body.c_str() + at + 6);
-          if (pid > 1) pids.push_back(pid);
-          ++at;
-        }
-        if (pids.empty()) continue;
-        ::kill(static_cast<pid_t>(pids[turn++ % pids.size()]), SIGKILL);
-        kills.fetch_add(1);
-      }
-    });
-
-    // Prober: GET /healthz every 20 ms; track the longest unready streak.
-    std::thread prober([&] {
-      using SoakClock = std::chrono::steady_clock;
-      std::chrono::steady_clock::time_point down_since{};
-      bool down = false;
-      while (!run_done.load()) {
-        ControlProbe health = control_get(port, "GET", "/healthz");
-        const auto now = SoakClock::now();
-        if (health.status == 200) {
-          if (down) {
-            const long ms =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    now - down_since)
-                    .count();
-            if (ms > max_unready_ms.load()) max_unready_ms.store(ms);
-            down = false;
-          }
-        } else if (!down) {
-          down = true;
-          down_since = now;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    });
-
-    std::thread stopper([&] {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
-      while (!run_done.load() && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      while (!run_done.load()) {
-        ControlProbe stop =
-            control_get(port, "POST", "/campaigns/default/stop");
-        if (stop.status == 202) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-    });
-
-    report = supervisor.run();
-    run_done.store(true);
-    killer.join();
-    prober.join();
-    stopper.join();
-  } catch (const hdiff::net::ChainFault& fault) {
-    std::printf("selftest FAILED: %s\n", fault.what());
-    return 1;
-  }
-
-  if (!report.error.empty()) {
-    std::printf("selftest FAILED: %s\n", report.error.c_str());
-    return 1;
-  }
-  const long limit = 2L * heartbeat_ms;
-  std::printf(
-      "soak: %zu round(s), %ld kill(s) sent, %zu death(s), %zu restart(s), "
-      "max /healthz unready streak %ld ms (limit %ld)\n",
-      report.rounds_run, kills.load(), report.worker_deaths,
-      report.worker_restarts, max_unready_ms.load(), limit);
-  if (!report.drained) {
-    std::printf("selftest FAILED: soak did not drain cleanly\n");
-    return 1;
-  }
-  if (max_unready_ms.load() > limit) {
-    std::printf(
-        "selftest FAILED: /healthz unready for %ld ms (> 2 heartbeat "
-        "intervals)\n",
-        max_unready_ms.load());
-    return 1;
-  }
-  std::printf("selftest PASSED: daemon stayed ready under %ld random worker "
-              "SIGKILL(s)\n",
-              kills.load());
-  fs::remove_all(root, ec);
-  return 0;
-}
-
 int cmd_audit(int argc, char** argv) {
   if (argc < 4) return usage();
   auto front = hdiff::impls::make_implementation(argv[2]);
@@ -1987,7 +1173,6 @@ int main(int argc, char** argv) {
   if (cmd == "generate") return cmd_generate(argc, argv);
   if (cmd == "run") return cmd_run(argc, argv);
   if (cmd == "stats") return cmd_stats(argc, argv);
-  if (cmd == "selftest") return cmd_selftest(argc, argv);
   if (cmd == "lint") return cmd_lint(argc, argv);
   if (cmd == "campaign") return cmd_campaign(argc, argv);
   if (cmd == "serve") return cmd_serve(argc, argv);
