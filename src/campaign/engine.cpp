@@ -228,12 +228,7 @@ std::vector<SeedSpec> default_campaign_seeds() {
   return seeds;
 }
 
-namespace {
-
-/// The signature preimage shared by campaign_config_sig and
-/// campaign_mutation_sig; `with_bootstrap` adds the `|case:` fields in the
-/// position they have always had, so the full signature keeps its values.
-std::string config_preimage(const CampaignConfig& config, bool with_bootstrap) {
+std::string campaign_config_sig(const CampaignConfig& config) {
   std::string acc = "campaign-config-v1";
   acc += "|budget=" + std::to_string(config.budget_per_round);
   acc += "|minimize=" + std::string(config.minimize_new ? "1" : "0");
@@ -243,10 +238,8 @@ std::string config_preimage(const CampaignConfig& config, bool with_bootstrap) {
   for (const auto& s : seeds) {
     acc += "|seed:" + s.name + ":" + content_address(s.spec);
   }
-  if (with_bootstrap) {
-    for (const auto& tc : config.bootstrap) {
-      acc += "|case:" + tc.uuid + ":" + hex64(tc.raw);
-    }
+  for (const auto& tc : config.bootstrap) {
+    acc += "|case:" + tc.uuid + ":" + hex64(tc.raw);
   }
   // Stream fields join the preimage only when the feature is on: a campaign
   // without streams keeps the exact signature it had before the stream
@@ -258,17 +251,7 @@ std::string config_preimage(const CampaignConfig& config, bool with_bootstrap) {
       acc += "|sseed:" + s.name + ":" + stream_content_address(s.stream);
     }
   }
-  return acc;
-}
-
-}  // namespace
-
-std::string campaign_config_sig(const CampaignConfig& config) {
-  return hex64(config_preimage(config, true));
-}
-
-std::string campaign_mutation_sig(const CampaignConfig& config) {
-  return hex64(config_preimage(config, false));
+  return hex64(acc);
 }
 
 void register_seed_entries(StateStore& store, const CampaignConfig& config) {

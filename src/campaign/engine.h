@@ -145,12 +145,6 @@ std::vector<SeedSpec> default_campaign_seeds();
 /// legitimate and changes nothing already committed).
 std::string campaign_config_sig(const CampaignConfig& config);
 
-/// campaign_config_sig without the bootstrap corpus: budget, minimize,
-/// seeds and streams, everything plan_round reads after round 0.  A serve
-/// worker checks its own flags against the supervisor's value of this, so
-/// rounds >= 1 never have to rebuild the bootstrap.
-std::string campaign_mutation_sig(const CampaignConfig& config);
-
 // ---- round reentry hooks (shared by CampaignEngine::run and hdiff serve) --
 //
 // A round decomposes into three pure-ish stages:

@@ -149,14 +149,18 @@ void ServeLoop::finish(ServeConn& c, int status, std::string_view content_type,
   c.writing = true;
 }
 
-std::size_t ServeLoop::poll_once(int timeout_ms) {
+std::size_t ServeLoop::poll_once(int timeout_ms,
+                                 std::span<const int> wake_fds) {
   const int listen_fd = listener_.native_handle();
+  // Connections accepted during this pass wait for the next one.
+  const std::size_t polled = conns_.size();
   std::vector<pollfd> pfds;
-  pfds.reserve(conns_.size() + 1);
+  pfds.reserve(polled + 1 + wake_fds.size());
   if (listen_fd >= 0) pfds.push_back({listen_fd, POLLIN, 0});
   for (const ServeConn& c : conns_) {
     pfds.push_back({c.fd, static_cast<short>(c.writing ? POLLOUT : POLLIN), 0});
   }
+  for (int fd : wake_fds) pfds.push_back({fd, POLLIN, 0});
   if (pfds.empty()) return 0;
   int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
   if (ready < 0 && errno != EINTR) return 0;
@@ -181,7 +185,7 @@ std::size_t ServeLoop::poll_once(int timeout_ms) {
 
   const TimePoint now = Clock::now();
   char buf[4096];
-  for (std::size_t i = 0; i < conns_.size() && pi + i < pfds.size(); ++i) {
+  for (std::size_t i = 0; i < polled; ++i) {
     ServeConn& c = conns_[i];
     const short revents = ready > 0 ? pfds[pi + i].revents : 0;
     if (!c.writing && (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {

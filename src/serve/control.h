@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,9 +74,11 @@ class ServeLoop {
   ServeLoop& operator=(const ServeLoop&) = delete;
 
   /// Accept new connections and advance every open one; blocks at most
-  /// `timeout_ms` waiting for activity (0 = pure poll).  Returns the number
-  /// of requests dispatched to the handler during this pass.
-  std::size_t poll_once(int timeout_ms);
+  /// `timeout_ms` waiting for activity (0 = pure poll).  Readability or
+  /// hang-up on any of the caller's `wake_fds` also ends the wait; the loop
+  /// never reads them.  Returns the number of requests dispatched to the
+  /// handler during this pass.
+  std::size_t poll_once(int timeout_ms, std::span<const int> wake_fds = {});
 
   std::size_t requests_handled() const noexcept { return requests_handled_; }
   std::size_t requests_rejected() const noexcept { return requests_rejected_; }

@@ -1,8 +1,6 @@
 #include "serve/supervisor.h"
 
 #include <fcntl.h>
-#include <poll.h>
-#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -23,8 +21,6 @@
 #include "serve/flight.h"
 #include "serve/worker.h"
 
-extern char** environ;
-
 namespace hdiff::serve {
 
 namespace {
@@ -43,6 +39,7 @@ struct Slot {
   int consecutive_deaths = 0;
   bool done = false;       ///< this shard's result is in hand
   bool kill_sent = false;  ///< hang SIGKILL already fired this spawn
+  bool chaos_sent = false;  ///< a chaos action already signalled this spawn
 };
 
 /// All run() state lives here so the control-plane handler (a lambda over
@@ -55,7 +52,6 @@ class Runner {
       : config_(config),
         listener_(listener),
         store_(config.campaign.state_dir),
-        mutation_sig_(campaign::campaign_mutation_sig(config.campaign)),
         chain_(net::Chain::from_fleet(fleet)),
         sobs_(obs::ServeObs::from(config.obs)),
         own_fleet_(config.obs.metrics),
@@ -118,7 +114,15 @@ class Runner {
     return false;
   }
 
-  void pump(int timeout_ms) { serve_loop_.poll_once(timeout_ms); }
+  /// Serve the control plane for up to `timeout_ms`, waking early when a
+  /// worker's heartbeat pipe has a byte or hangs up.
+  void pump(int timeout_ms) {
+    std::vector<int> pipes;
+    for (const Slot& slot : slots_) {
+      if (slot.pipe_fd >= 0) pipes.push_back(slot.pipe_fd);
+    }
+    serve_loop_.poll_once(timeout_ms, pipes);
+  }
 
   net::ControlResponse handle(const net::ControlRequest& rq);
   std::string status_json() const;
@@ -126,13 +130,16 @@ class Runner {
   bool execute_round_sharded(std::size_t round,
                              const campaign::RoundPlan& plan,
                              std::vector<campaign::ShardResult>* results);
-  bool spawn_worker(std::size_t shard, std::size_t round);
+  bool spawn_worker(std::size_t round, const campaign::RoundPlan& plan,
+                    std::size_t shard);
   /// Fire the chaos actions (tests) due for this round's live workers.
   void inject_chaos(std::size_t round);
   void release_slot(Slot& slot);
   void on_death(std::size_t shard);
   /// Stop spawning workers for `shard`; the supervisor runs it inline.
   void quarantine(std::size_t shard, const std::string& why);
+  /// What a shard's run_shard is asked, inline or in a forked worker.
+  WorkerOptions shard_ask(std::size_t round, std::size_t shard) const;
   campaign::ShardResult run_inline(std::size_t round,
                                    const campaign::RoundPlan& plan,
                                    std::size_t shard);
@@ -143,10 +150,7 @@ class Runner {
   const ServeConfig& config_;
   net::TcpListener& listener_;
   campaign::StateStore store_;
-  const std::string mutation_sig_;  ///< passed to every worker
   net::Chain chain_;
-  core::ObservationMemo memo_;
-  net::VerdictCache verdicts_;
   obs::ServeObs sobs_;
   FleetMetrics own_fleet_;  ///< used when the caller supplies none
   FleetMetrics* fleet_;
@@ -313,60 +317,24 @@ std::string Runner::status_json() const {
   return out;
 }
 
-bool Runner::spawn_worker(std::size_t shard, std::size_t round) {
+bool Runner::spawn_worker(std::size_t round, const campaign::RoundPlan& plan,
+                          std::size_t shard) {
   Slot& slot = slots_[shard];
   int fds[2];
-  if (::pipe(fds) != 0) return false;
-  // Read end: supervisor-side, nonblocking, never inherited.  Write end:
-  // CLOEXEC so the worker sees it only as the dup2'd fd 3.
-  ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-  ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(fds[1], F_SETFD, FD_CLOEXEC);
+  if (::pipe2(fds, O_CLOEXEC) != 0) return false;
+  ::fcntl(fds[0], F_SETFL, O_NONBLOCK);  // supervisor-side read end
 
-  std::vector<std::string> args;
-  args.push_back(config_.worker_binary);
-  args.push_back("serve-worker");
-  args.push_back("--state-dir");
-  args.push_back(config_.campaign.state_dir);
-  args.push_back("--shard");
-  args.push_back(std::to_string(shard));
-  args.push_back("--shards");
-  args.push_back(std::to_string(shards()));
-  args.push_back("--round");
-  args.push_back(std::to_string(round));
-  args.push_back("--heartbeat-ms");
-  args.push_back(std::to_string(config_.heartbeat_interval_ms));
-  args.push_back("--heartbeat-fd");
-  args.push_back("3");
-  // The worker checks its ask against these two signatures, so after round
-  // 0 it need not rebuild the bootstrap corpus to recompute the full one.
-  args.push_back("--config-sig");
-  args.push_back(store_.config_sig);
-  args.push_back("--mutation-sig");
-  args.push_back(mutation_sig_);
-  // Observability export mirrors the supervisor's own configuration (these
-  // flags never enter the campaign config signature — obs only reads).
-  if (fleet_->enabled()) args.push_back("--export-metrics");
-  if (config_.obs.trace != nullptr) args.push_back("--export-trace");
-  for (const std::string& a : config_.worker_args) args.push_back(a);
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_adddup2(&actions, fds[1], 3);
-  // A worker inherits stdio and its heartbeat fd, nothing else: not the
-  // control listener, an open control connection or the flight log.
-  posix_spawn_file_actions_addclosefrom_np(&actions, 4);
-
-  pid_t pid = -1;
-  const int rc = ::posix_spawn(&pid, config_.worker_binary.c_str(), &actions,
-                               nullptr, argv.data(), environ);
-  posix_spawn_file_actions_destroy(&actions);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    // The child holds this round's plan, the chain and the config already:
+    // it runs its shard and leaves through _exit, never returning here.
+    WorkerOptions ask = shard_ask(round, shard);
+    ask.heartbeat_fd = fds[1];
+    ask.heartbeat_interval_ms = config_.heartbeat_interval_ms;
+    worker_main(config_.campaign, ask, chain_, plan);
+  }
   ::close(fds[1]);
-  if (rc != 0) {
+  if (pid < 0) {
     ::close(fds[0]);
     return false;
   }
@@ -375,7 +343,7 @@ bool Runner::spawn_worker(std::size_t shard, std::size_t round) {
   slot.pipe_fd = fds[0];
   slot.health = WorkerHealth::kSpawned;
   slot.spawned_at = slot.last_beat = Clock::now();
-  slot.kill_sent = false;
+  slot.kill_sent = slot.chaos_sent = false;
   ++report_.worker_spawns;
   if (sobs_.spawns) sobs_.spawns->add();
   hb_.beat(shard);  // age measures from spawn until the first real beat
@@ -390,7 +358,8 @@ bool Runner::spawn_worker(std::size_t shard, std::size_t round) {
 void Runner::inject_chaos(std::size_t round) {
   // Chaos injection (tests): signal a freshly spawned worker.  Each action
   // fires at most once ever (not once per spawn — a respawned worker must
-  // be allowed to finish, or a kill action would starve its shard forever).
+  // be allowed to finish, or a kill action would starve its shard forever),
+  // and at most one action signals a spawn, so two actions kill two spawns.
   const TimePoint now = Clock::now();
   for (std::size_t a = 0; a < config_.chaos.size(); ++a) {
     const ChaosAction& action = config_.chaos[a];
@@ -399,11 +368,11 @@ void Runner::inject_chaos(std::size_t round) {
       continue;
     }
     Slot& slot = slots_[action.shard];
-    if (slot.pid <= 0 || slot.done) continue;
+    if (slot.pid <= 0 || slot.done || slot.chaos_sent) continue;
     if (now - slot.spawned_at < std::chrono::milliseconds(action.delay_ms)) {
       continue;
     }
-    chaos_fired_[a] = true;
+    chaos_fired_[a] = slot.chaos_sent = true;
     ::kill(slot.pid,
            action.kind == ChaosAction::Kind::kKill ? SIGKILL : SIGSTOP);
   }
@@ -448,6 +417,17 @@ void Runner::on_death(std::size_t shard) {
                          slot.consecutive_deaths - 1, key));
 }
 
+WorkerOptions Runner::shard_ask(std::size_t round, std::size_t shard) const {
+  WorkerOptions ask;
+  ask.config_sig = store_.config_sig;
+  ask.round = round;
+  ask.shard = shard;
+  ask.shards = shards();
+  ask.export_metrics = fleet_->enabled();
+  ask.export_trace = config_.obs.trace != nullptr;
+  return ask;
+}
+
 campaign::ShardResult Runner::run_inline(std::size_t round,
                                          const campaign::RoundPlan& plan,
                                          std::size_t shard) {
@@ -456,16 +436,8 @@ campaign::ShardResult Runner::run_inline(std::size_t round,
   // exactly-once semantics.  Published durably like a worker's, so a
   // supervisor crash right after an inline run still resumes without
   // re-observing this shard.
-  WorkerOptions ask;
-  ask.config = config_.campaign;
-  ask.config_sig = store_.config_sig;
-  ask.round = round;
-  ask.shard = shard;
-  ask.shards = shards();
-  ask.export_metrics = fleet_->enabled();
-  ask.export_trace = config_.obs.trace != nullptr;
   campaign::ShardResult result;
-  run_shard(std::move(ask), chain_, plan, &result);
+  run_shard(config_.campaign, shard_ask(round, shard), chain_, plan, &result);
   return result;
 }
 
@@ -573,11 +545,11 @@ bool Runner::execute_round_sharded(
       }
 
       if (slot.health == WorkerHealth::kIdle) {
-        if (!spawn_worker(k, round)) on_death(k);
+        if (!spawn_worker(round, plan, k)) on_death(k);
         continue;
       }
       if (slot.health == WorkerHealth::kDegraded && now >= slot.respawn_at) {
-        if (spawn_worker(k, round)) {
+        if (spawn_worker(round, plan, k)) {
           ++report_.worker_restarts;
           if (sobs_.restarts) sobs_.restarts->add();
           flight_.record("restart", round, k,
@@ -627,7 +599,7 @@ bool Runner::execute_round_sharded(
       const pid_t reaped = ::waitpid(slot.pid, &status, WNOHANG);
       if (reaped != slot.pid) continue;
       slot.pid = -1;  // reaped; release_slot must not wait again
-      if (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerOk) {
+      if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
         campaign::ShardResult result;
         if (campaign::load_shard_result(config_.campaign.state_dir, round, k,
                                         n, store_.config_sig, &result)) {
@@ -643,13 +615,6 @@ bool Runner::execute_round_sharded(
         }
         // Exit 0 without a loadable result is a protocol violation —
         // treated exactly like a crash.
-      } else if (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerStale) {
-        // The worker's flags or checkpoint disagree with this supervisor's
-        // ask; a respawn would get the same ask, so it is no death.
-        release_slot(slot);
-        hb_.clear(k);
-        quarantine(k, "stale ask");
-        continue;
       }
       on_death(k);
     }
@@ -686,8 +651,6 @@ bool Runner::execute_round_sharded(
 }
 
 ServeReport Runner::run() {
-  // Workers re-plan from the committed checkpoint, so adopting the coverage
-  // plan here is all it takes for every shard to see identical ids.
   if (!campaign::open_campaign(store_, config_.campaign, &report_.resumed,
                                &report_.error)) {
     return report_;
@@ -731,9 +694,16 @@ ServeReport Runner::run() {
       return report_;
     }
 
-    campaign::RoundReport rr = campaign::integrate_round(
-        store_, config_.campaign, round, plan.cases, outcomes, chain_, &memo_,
-        &verdicts_);
+    // Minimizer caches live for one round, like a shard's: a daemon's cache
+    // memory stays bounded, and their teardown is paid inside the round.
+    campaign::RoundReport rr;
+    {
+      core::ObservationMemo memo;
+      net::VerdictCache verdicts;
+      rr = campaign::integrate_round(store_, config_.campaign, round,
+                                     plan.cases, outcomes, chain_, &memo,
+                                     &verdicts);
+    }
     rr.replayed = plan.replayed;
     campaign::emit_round_metrics(config_.campaign.obs, rr, store_);
     if (sobs_.rounds) sobs_.rounds->add();

@@ -4,10 +4,11 @@
 // Execution model — round lockstep with a merge barrier.  Each round the
 // supervisor computes the plan (a pure function of the committed checkpoint
 // and the config), forks one worker per shard, and waits for every shard's
-// durable result file.  Workers never touch the master checkpoint: they
-// load it read-only, execute only the case indices their shard owns
-// (shard.h assignment is content-hashed, coordination-free) and publish
-// outcomes via tmp+fsync+rename.  The supervisor alone merges outcomes in
+// durable result file.  A forked worker inherits the plan, the chain and the
+// config, so it loads and plans nothing and never touches the master
+// checkpoint: it executes only the case indices its shard owns (shard.h
+// assignment is content-hashed, coordination-free) and publishes outcomes
+// via tmp+fsync+rename (worker.h).  The supervisor alone merges outcomes in
 // stable case order and performs all integration — fingerprinting, dedup,
 // minimization, corpus growth — exactly as the single-process engine does,
 // then commits.  Findings are therefore byte-identical to `--jobs 1` no
@@ -25,11 +26,9 @@
 //                            K consecutive deaths --> kQuarantined
 //                                      (shard runs inline in the supervisor)
 //
-// A stale exit (kWorkerStale: the worker's flags or checkpoint disagree with
-// the ask) is no death: the slot goes straight to kQuarantined, unrespawned.
-//
 // Liveness is a pipe heartbeat ('h' every interval/2 from a worker-side
-// thread); a slot silent for two intervals is declared hung and SIGKILLed.
+// interval timer); a slot silent for two intervals is declared hung and
+// SIGKILLed.
 // /healthz degrades (503) only while some executing slot sits in kDegraded
 // — a quarantined shard is a *handled* failure and keeps the daemon ready.
 //
@@ -63,7 +62,8 @@ namespace hdiff::serve {
 /// `shard`'s worker is first spawned, the supervisor signals it.  kKill
 /// (SIGKILL) simulates a crash; kStop (SIGSTOP) freezes the process so its
 /// heartbeats stop — the hang-detection path — and the supervisor's
-/// follow-up SIGKILL reaps it.  One-shot per (round, shard).
+/// follow-up SIGKILL reaps it.  Each action fires once, and a spawn takes at
+/// most one action, so N actions on one (round, shard) hit N spawns.
 struct ChaosAction {
   enum class Kind { kKill, kStop };
   std::size_t round = 0;
@@ -93,12 +93,11 @@ struct ServeConfig {
   /// Backoff schedule between respawns of a dying worker (attempts field
   /// is unused; quarantine_after bounds the retries).
   net::RetryPolicy restart{.backoff_base_ms = 2, .backoff_max_ms = 50};
-  /// Worker binary (argv[0] for posix_spawn) — the hdiff CLI itself; the
-  /// supervisor appends the `serve-worker` subcommand, shard geometry and
-  /// the config and mutation signatures the worker checks its ask against.
+  /// Empty runs every shard inline in the supervisor (`--in-process`);
+  /// anything else runs shards in workers forked from the supervisor.  The
+  /// value itself is not read, and neither is `worker_args`: both stay only
+  /// because existing callers (the end-to-end benchmark) still set them.
   std::string worker_binary;
-  /// Extra flags reproducing `campaign` for the worker process (e.g.
-  /// "--mini", "--budget", "48").  The worker revalidates via those sigs.
   std::vector<std::string> worker_args;
   /// Signal-handler drain flag (SIGTERM/SIGINT): when it becomes nonzero
   /// the supervisor finishes the current round, commits and exits 0.
@@ -147,7 +146,8 @@ struct ServeReport {
 /// net::ChainFault when the port cannot be acquired); `run()` blocks until
 /// the round target is reached, a drain is requested, or a fatal state
 /// error occurs.  Single-threaded: the control plane is pumped from the
-/// supervision loop between heartbeat reads and waitpid sweeps.
+/// supervision loop between heartbeat reads and waitpid sweeps, and the
+/// loop's poll also wakes on the workers' heartbeat pipes.
 class Supervisor {
  public:
   Supervisor(

@@ -1,15 +1,12 @@
 #include "serve/worker.h"
 
+#include <fcntl.h>
+#include <sys/time.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
+#include <csignal>
 
-#include "campaign/store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -17,92 +14,70 @@ namespace hdiff::serve {
 
 namespace {
 
-/// Writes one byte every `interval_ms/2` to the inherited pipe until
-/// stopped.  EPIPE (supervisor died) silently stops beating — the worker
-/// finishes its shard anyway; the result file is still useful to the next
-/// supervisor generation.
-class Heartbeat {
- public:
-  Heartbeat(int fd, int interval_ms) : fd_(fd) {
-    if (fd_ < 0) return;
-    const auto period =
-        std::chrono::milliseconds(interval_ms > 1 ? interval_ms / 2 : 1);
-    thread_ = std::thread([this, period] {
-      std::unique_lock<std::mutex> lock(mu_);
-      while (!stop_) {
-        if (!beat('h')) return;
-        cv_.wait_for(lock, period, [this] { return stop_; });
-      }
-    });
-  }
+/// SIGALRM handler: one 'h' on the heartbeat pipe (fd 3), nothing else.  A
+/// full pipe (EAGAIN) or a dead supervisor (EPIPE) only skips the beat; the
+/// worker finishes its shard anyway, since the result file is still useful
+/// to the next supervisor generation.
+void beat(int) {
+  const int saved = errno;
+  const char h = 'h';
+  [[maybe_unused]] const ssize_t n = ::write(3, &h, 1);
+  errno = saved;
+}
 
-  ~Heartbeat() {
-    if (fd_ < 0) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  /// Final liveness byte once the result is durably published.
-  void done() { beat('D'); }
-
- private:
-  bool beat(char c) {
-    if (fd_ < 0) return false;
-    while (true) {
-      const ssize_t n = ::write(fd_, &c, 1);
-      if (n == 1) return true;
-      if (n < 0 && errno == EINTR) continue;
-      return false;  // EPIPE / supervisor gone
-    }
-  }
-
-  int fd_;
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
+/// Beat every `interval_ms/2` from a timer (0 stops it).
+void set_heartbeat_timer(int interval_ms) {
+  const int period_ms = interval_ms > 1 ? interval_ms / 2 : interval_ms;
+  itimerval timer{};
+  timer.it_interval.tv_sec = period_ms / 1000;
+  timer.it_interval.tv_usec = (period_ms % 1000) * 1000;
+  timer.it_value = timer.it_interval;
+  ::setitimer(ITIMER_REAL, &timer, nullptr);
+}
 
 }  // namespace
 
-int run_worker(
-    const WorkerOptions& options,
-    const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet) {
-  Heartbeat heartbeat(options.heartbeat_fd, options.heartbeat_interval_ms);
-
-  campaign::StateStore store(options.config.state_dir);
-  if (!store.exists() || !store.load_readonly()) return kWorkerStateError;
-  // The plan is only shared when worker and supervisor hold the same
-  // committed checkpoint AND built it from the same config.  A mismatch is
-  // a stale ask (supervisor committed while this worker was queued, or the
-  // daemon was restarted with different flags): report it as such so the
-  // supervisor runs the shard itself instead of respawning a doomed worker.
-  // Round 0 plans from the bootstrap, so it also proves the bootstrap it
-  // built; later rounds plan only from what the mutation signature covers.
-  if (store.config_sig != options.config_sig ||
-      campaign::campaign_mutation_sig(options.config) !=
-          options.mutation_sig ||
-      store.rounds_completed != options.round ||
-      (options.round == 0 &&
-       store.config_sig != campaign::campaign_config_sig(options.config))) {
-    return kWorkerStale;
-  }
-
-  const campaign::RoundPlan plan =
-      campaign::plan_round(store, options.config, options.round);
-  campaign::ShardResult result;
-  if (!run_shard(options, net::Chain::from_fleet(fleet), plan, &result)) {
-    return kWorkerStateError;
-  }
-  heartbeat.done();
-  return kWorkerOk;
+void keep_worker_fds(int heartbeat_fd) {
+  if (heartbeat_fd != 3) ::dup2(heartbeat_fd, 3);
+  ::fcntl(3, F_SETFL, O_NONBLOCK);
+  ::closefrom(4);
 }
 
-bool run_shard(WorkerOptions ask, const net::Chain& chain,
+void worker_main(const campaign::CampaignConfig& campaign,
+                 const WorkerOptions& ask, const net::Chain& chain,
+                 const campaign::RoundPlan& plan) {
+  int code = 1;
+  try {
+    keep_worker_fds(ask.heartbeat_fd);
+    // The supervisor's drain handlers do not apply here: SIGTERM/SIGINT end
+    // a worker.  A supervisor that dies while we beat must not kill the
+    // worker mid-shard.
+    std::signal(SIGTERM, SIG_DFL);
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGPIPE, SIG_IGN);
+    struct sigaction action {};
+    action.sa_handler = beat;
+    action.sa_flags = SA_RESTART;
+    sigemptyset(&action.sa_mask);
+    ::sigaction(SIGALRM, &action, nullptr);
+    beat(SIGALRM);
+    set_heartbeat_timer(ask.heartbeat_interval_ms);
+
+    campaign::ShardResult result;
+    if (run_shard(campaign, ask, chain, plan, &result)) {
+      set_heartbeat_timer(0);
+      const char done = 'D';
+      [[maybe_unused]] const ssize_t n = ::write(3, &done, 1);
+      code = 0;
+    }
+  } catch (...) {
+    // Unwinding further would run the supervisor's own frames in the child.
+  }
+  ::_exit(code);
+}
+
+bool run_shard(const campaign::CampaignConfig& campaign,
+               const WorkerOptions& ask, const net::Chain& chain,
                const campaign::RoundPlan& plan, campaign::ShardResult* out) {
   const std::vector<std::size_t> mine =
       campaign::shard_indices(plan.cases, ask.shard, ask.shards);
@@ -111,8 +86,14 @@ bool run_shard(WorkerOptions ask, const net::Chain& chain,
   // counts the fleet registry absorbs are exactly the counts that produced
   // the published outcomes.
   obs::Registry registry;
-  obs::TraceSink sink(ask.config.obs.clock);
-  campaign::CampaignConfig& config = ask.config;
+  obs::TraceSink sink(campaign.obs.clock);
+  // execute_round reads only the executor and observability settings, so
+  // the shard copies those and not the bootstrap corpus or coverage plan,
+  // which would take a forked worker about as long to copy as its shard
+  // takes to execute.
+  campaign::CampaignConfig config;
+  config.executor = campaign.executor;
+  config.obs = campaign.obs;
   config.obs.metrics = ask.export_metrics ? &registry : nullptr;
   config.obs.trace = ask.export_trace ? &sink : nullptr;
   // Fresh caches scoped to this (round, shard), so an inline run observes
@@ -149,7 +130,7 @@ bool run_shard(WorkerOptions ask, const net::Chain& chain,
     result.trace_pid = static_cast<std::uint32_t>(::getpid());
     result.trace = sink.export_events();
   }
-  return campaign::write_shard_result(config.state_dir, result);
+  return campaign::write_shard_result(campaign.state_dir, result);
 }
 
 }  // namespace hdiff::serve

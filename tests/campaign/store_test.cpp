@@ -105,7 +105,8 @@ TEST(StoreTest, ContentAddressIsStableAndHex) {
 }
 
 TEST(StoreTest, AddEntryIsIdempotentByHash) {
-  StateStore store(fresh_dir("idem"));
+  const std::string dir = fresh_dir("idem");
+  StateStore store(dir);
   ASSERT_TRUE(store.init("sig"));
 
   CorpusEntry entry;
@@ -125,6 +126,7 @@ TEST(StoreTest, AddEntryIsIdempotentByHash) {
   ASSERT_TRUE(store.commit_round(0)) << store.error();
   EXPECT_TRUE(fs::exists(store.corpus_path(entry.hash)));
   EXPECT_EQ(slurp(store.corpus_path(entry.hash)), serialize_spec(entry.spec));
+  fs::remove_all(dir);
 }
 
 TEST(StoreTest, FailedCorpusWriteFailsTheCommitAndKeepsTheCheckpoint) {

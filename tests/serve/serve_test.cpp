@@ -1,15 +1,18 @@
 // The `hdiff serve` layer: deterministic shard assignment, durable shard
 // result files (torn/stale rejection, hole detection on merge), the
 // control-plane HTTP pump and its client, and the supervisor itself —
-// in-process shards byte-identical to the single-process engine, a
-// permanently-crashing worker binary degraded into quarantined inline
-// execution without losing the round, and forked `hdiff serve-worker`
-// processes leaving the single-process bytes under SIGKILLs, a hang, and a
-// drain + resume.
+// in-process shards byte-identical to the single-process engine, workers
+// killed on every spawn degraded into quarantined inline execution without
+// losing the round, a forked worker's fd hygiene, and workers forked from
+// this test process leaving the single-process bytes under SIGKILLs, a
+// hang, and a drain + resume.
 #include "serve/supervisor.h"
 
+#include <fcntl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -537,12 +540,17 @@ TEST(Supervisor, CrashOnlyWorkerIsQuarantinedAndTheRoundStillCompletes) {
   ServeConfig config;
   config.campaign = small_campaign(serve_dir);
   config.shards = 2;
-  // A worker that always exits 1 without publishing a result: every spawn
-  // is a death, every shard ends up quarantined, and the supervisor must
-  // finish the campaign inline anyway.
-  config.worker_binary = "/bin/false";
+  // Forked workers, each SIGKILLed the moment it is spawned, twice per
+  // shard: every spawn is a death, every shard ends up quarantined, and the
+  // supervisor must finish the round inline anyway.
+  config.worker_binary = "fork";
   config.heartbeat_interval_ms = 40;
   config.quarantine_after = 2;
+  for (std::size_t shard : {0u, 1u, 0u, 1u}) {
+    config.chaos.push_back(ChaosAction{.round = 0, .shard = shard,
+                                       .kind = ChaosAction::Kind::kKill,
+                                       .delay_ms = 0});
+  }
   Supervisor supervisor(config, fleet);
   const ServeReport report = supervisor.run();
   ASSERT_TRUE(report.error.empty()) << report.error;
@@ -559,95 +567,61 @@ TEST(Supervisor, CrashOnlyWorkerIsQuarantinedAndTheRoundStillCompletes) {
 }
 
 TEST(Supervisor, WorkersInheritOnlyStdioAndTheHeartbeatFd) {
-  const auto fleet = impls::make_all_implementations();
-  const std::string serve_dir = fresh_dir("fds-serve");
-  const std::string bin_dir = fresh_dir("fds-bin");
-  fs::create_directories(serve_dir);
-  fs::create_directories(bin_dir);
-  // A worker that records its open fds and dies: every spawn, restarts
-  // included, appends one listing, and the shards fall back inline.
-  const std::string listing = serve_dir + "/worker-fds.txt";
-  const std::string script = bin_dir + "/worker.sh";
-  {
-    std::ofstream out(script);
-    out << "#!/bin/sh\nls -l /proc/$$/fd >> '" << listing << "'\nexit 1\n";
-  }
-  fs::permissions(script, fs::perms::owner_all);
-  // Hold an extra socket below the supervisor's own listener, so the
-  // heartbeat dup2 onto fd 3 cannot hide a leaked listener by overwriting
-  // it.
+  // What a supervisor holds when it forks: its control listener, an extra
+  // socket below it (so the dup2 onto fd 3 cannot hide a leaked listener by
+  // overwriting it) and the flight log.
   net::TcpListener low_fd;
+  net::TcpListener listener;
+  const std::string dir = fresh_dir("fds");
+  fs::create_directories(dir);
+  FlightRecorder flight(dir);
+  flight.record("start", 0);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
 
-  ServeConfig config;
-  config.campaign = small_campaign(serve_dir);
-  config.shards = 2;
-  config.worker_binary = script;
-  config.heartbeat_interval_ms = 40;
-  config.quarantine_after = 2;
-  Supervisor supervisor(config, fleet);
-  const ServeReport report = supervisor.run();
-  ASSERT_TRUE(report.error.empty()) << report.error;
-  EXPECT_GE(report.worker_restarts, 1u);
-
-  const std::string fds = slurp(listing);
-  ASSERT_FALSE(fds.empty());
-  EXPECT_EQ(fds.find("socket:"), std::string::npos) << fds;
-  EXPECT_EQ(fds.find("flight.events"), std::string::npos) << fds;
-  fs::remove_all(serve_dir);
-  fs::remove_all(bin_dir);
-}
-
-TEST(Supervisor, StaleWorkerIsQuarantinedWithoutARespawn) {
-  const auto fleet = impls::make_all_implementations();
-
-  const std::string ref_dir = fresh_dir("stale-ref");
-  campaign::CampaignEngine engine(small_campaign(ref_dir));
-  ASSERT_TRUE(engine.run(fleet).error.empty());
-
-  const std::string serve_dir = fresh_dir("stale-serve");
-  const std::string bin_dir = fresh_dir("stale-bin");
-  fs::create_directories(bin_dir);
-  // A worker that refuses every ask as stale: a respawn would get the same
-  // ask, so the shard must go inline at once, with no death counted.
-  const std::string script = bin_dir + "/worker.sh";
-  {
-    std::ofstream out(script);
-    out << "#!/bin/sh\nexit " << kWorkerStale << "\n";
-  }
-  fs::permissions(script, fs::perms::owner_all);
-
-  ServeConfig config;
-  config.campaign = small_campaign(serve_dir);
-  config.shards = 2;
-  config.worker_binary = script;
-  config.heartbeat_interval_ms = 40;
-  config.quarantine_after = 3;
-  Supervisor supervisor(config, fleet);
-  const ServeReport report = supervisor.run();
-  ASSERT_TRUE(report.error.empty()) << report.error;
-  EXPECT_EQ(report.worker_deaths, 0u);
-  EXPECT_EQ(report.worker_restarts, 0u);
-  EXPECT_EQ(report.quarantined_shards, 2u);
-
-  FlightRecorder flight(serve_dir);
-  flight.load();
-  std::size_t stale = 0;
-  for (const FlightEvent& event : flight.events_since(0)) {
-    EXPECT_NE(event.kind, "worker_death");
-    if (event.kind == "quarantine" &&
-        event.detail.rfind("stale ask", 0) == 0) {
-      ++stale;
+  // The child keeps the worker's fds, then sends back its fds above stdio
+  // (stdio is whatever the test runner passed, a socket included) and
+  // whether fd 3 is nonblocking, over that very heartbeat pipe.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    keep_worker_fds(fds[1]);
+    std::string listing =
+        (::fcntl(3, F_GETFL) & O_NONBLOCK) != 0 ? "nonblocking\n" : "";
+    std::error_code ec;
+    for (const auto& fd : fs::directory_iterator("/proc/self/fd", ec)) {
+      const std::string name = fd.path().filename().string();
+      if (name == "0" || name == "1" || name == "2") continue;
+      listing += name + " -> " + fs::read_symlink(fd.path(), ec).string() +
+                 "\n";
     }
+    for (std::size_t off = 0; off < listing.size();) {
+      const ssize_t n = ::write(3, listing.data() + off, listing.size() - off);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    ::_exit(0);
   }
-  EXPECT_EQ(stale, 2u);
+  ::close(fds[1]);
+  // The pipe's read end is nonblocking in the supervisor, not here.
+  std::string fds_seen;
+  char buf[512];
+  ssize_t n;
+  while ((n = ::read(fds[0], buf, sizeof buf)) > 0) {
+    fds_seen.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 
-  const campaign::StateStore ref_store(ref_dir), serve_store(serve_dir);
-  EXPECT_EQ(slurp(ref_store.state_path()), slurp(serve_store.state_path()));
-  EXPECT_EQ(slurp(ref_store.findings_path()),
-            slurp(serve_store.findings_path()));
-  fs::remove_all(ref_dir);
-  fs::remove_all(serve_dir);
-  fs::remove_all(bin_dir);
+  EXPECT_NE(fds_seen.find("nonblocking\n"), std::string::npos) << fds_seen;
+  EXPECT_NE(fds_seen.find("\n3 -> pipe:"), std::string::npos) << fds_seen;
+  EXPECT_EQ(fds_seen.find("socket:"), std::string::npos) << fds_seen;
+  EXPECT_EQ(fds_seen.find("flight.events"), std::string::npos) << fds_seen;
+  // Nothing else either: fd 3 and the listing's own directory fd.
+  EXPECT_EQ(std::count(fds_seen.begin(), fds_seen.end(), '\n'), 3) << fds_seen;
+  fs::remove_all(dir);
 }
 
 TEST(Supervisor, LeftoverShardResultIsReusedNotReexecuted) {
@@ -710,85 +684,6 @@ TEST(Supervisor, LeftoverShardResultIsReusedNotReexecuted) {
   EXPECT_EQ(slurp(ref_store.findings_path()), slurp(got_store.findings_path()));
   fs::remove_all(dir);
   fs::remove_all(ref_dir);
-}
-
-// ---- worker contract --------------------------------------------------------
-
-/// A small_campaign state dir whose round 0 is committed by a supervisor.
-std::string committed_round0(
-    const std::string& tag,
-    const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet) {
-  const std::string dir = fresh_dir(tag);
-  ServeConfig config;
-  config.campaign = small_campaign(dir);
-  config.campaign.rounds = 0;
-  Supervisor supervisor(config, fleet);
-  EXPECT_TRUE(supervisor.run().error.empty());
-  return dir;
-}
-
-/// What a supervisor over small_campaign(dir) asks of shard 0 of 2.
-WorkerOptions worker_ask(const std::string& dir, std::size_t round) {
-  WorkerOptions options;
-  options.config = small_campaign(dir);
-  options.config_sig = campaign::campaign_config_sig(options.config);
-  options.mutation_sig = campaign::campaign_mutation_sig(options.config);
-  options.shards = 2;
-  options.round = round;
-  return options;
-}
-
-TEST(Worker, LaterRoundWithoutBootstrapPublishesTheSameResult) {
-  const auto fleet = impls::make_all_implementations();
-  const std::string dir = committed_round0("worker-lean", fleet);
-  const std::string path = campaign::shard_result_path(dir, 1, 0);
-
-  ASSERT_EQ(run_worker(worker_ask(dir, 1), fleet), kWorkerOk);
-  const std::string with_bootstrap = slurp(path);
-  ASSERT_FALSE(with_bootstrap.empty());
-  fs::remove(path);
-
-  WorkerOptions lean = worker_ask(dir, 1);
-  lean.config.bootstrap.clear();
-  ASSERT_EQ(run_worker(lean, fleet), kWorkerOk);
-  EXPECT_EQ(slurp(path), with_bootstrap);
-  fs::remove_all(dir);
-}
-
-TEST(Worker, StaleAsksAreRefusedAndPublishNothing) {
-  const auto fleet = impls::make_all_implementations();
-  const auto expect_stale = [&](const WorkerOptions& options,
-                                const char* what) {
-    EXPECT_EQ(run_worker(options, fleet), kWorkerStale) << what;
-    EXPECT_FALSE(fs::exists(campaign::shard_result_path(
-        options.config.state_dir, options.round, options.shard)))
-        << what;
-  };
-
-  const std::string dir = committed_round0("worker-stale", fleet);
-  WorkerOptions budget = worker_ask(dir, 1);
-  budget.config.bootstrap.clear();
-  budget.config.budget_per_round += 1;
-  expect_stale(budget, "different --budget");
-  WorkerOptions foreign = worker_ask(dir, 1);
-  foreign.config_sig = "0123456789abcdef";
-  expect_stale(foreign, "foreign checkpoint signature");
-  WorkerOptions ahead = worker_ask(dir, 2);
-  expect_stale(ahead, "round not yet committed");
-  fs::remove_all(dir);
-
-  // Round 0 plans from the bootstrap, so it must be the one the checkpoint
-  // was made from.
-  const std::string fresh = fresh_dir("worker-round0");
-  campaign::StateStore store(fresh);
-  ASSERT_TRUE(store.init(
-      campaign::campaign_config_sig(small_campaign(fresh))))
-      << store.error();
-  WorkerOptions other = worker_ask(fresh, 0);
-  other.config.bootstrap.pop_back();
-  expect_stale(other, "round 0 with a different bootstrap");
-  EXPECT_EQ(run_worker(worker_ask(fresh, 0), fleet), kWorkerOk);
-  fs::remove_all(fresh);
 }
 
 // ---- cross-process observability ------------------------------------------
@@ -932,15 +827,13 @@ TEST(Supervisor, FlightRecorderPersistsTheRunLifecycle) {
 }
 
 
-// ---- forked workers: the real `hdiff serve-worker` -------------------------
+// ---- forked workers ---------------------------------------------------------
 //
-// HDIFF_CLI names the hdiff binary of this build.  The supervisor forks it
-// as `hdiff serve-worker`, so these proofs also cover the worker's flags,
-// heartbeats and durable results.
+// The supervisor forks its workers from this test process, so these proofs
+// cover the worker's whole life: fd hygiene, timer heartbeats and durable
+// results.
 
-/// The campaign the forked-worker proofs run, coverage on.  The workers
-/// rebuild it from the flags forked_serve passes and take the coverage plan
-/// from the checkpoint.
+/// The campaign the forked-worker proofs run, coverage on.
 campaign::CampaignConfig forked_campaign(const std::string& dir,
                                          std::size_t rounds) {
   campaign::CampaignConfig config;
@@ -958,8 +851,7 @@ ServeConfig forked_serve(const std::string& dir, std::size_t rounds,
   ServeConfig config;
   config.campaign = forked_campaign(dir, rounds);
   config.shards = shards;
-  config.worker_binary = HDIFF_CLI;
-  config.worker_args = {"--mini", "--budget", "24", "--jobs", "1"};
+  config.worker_binary = "fork";  // any non-empty name forks workers
   config.heartbeat_interval_ms = 60;
   return config;
 }

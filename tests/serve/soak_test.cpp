@@ -1,10 +1,10 @@
-// A minute of random worker SIGKILLs against a daemon of forked
-// `hdiff serve-worker` processes (HDIFF_CLI names the hdiff binary of this
-// build): /healthz must never stay unready for more than two heartbeat
-// intervals (a restart within one interval plus detection slack), and the
-// daemon must still drain on POST /campaigns/default/stop.  Every build
-// compiles it; ctest registers it only with -DHDIFF_SERVE_SOAK=ON (the
-// `serve-soak` preset), under the label `serve-soak`.
+// A minute of random worker SIGKILLs against a daemon whose workers are
+// forked from this test process: /healthz must never stay unready for more
+// than two heartbeat intervals (a restart within one interval plus
+// detection slack), and the daemon must still drain on POST
+// /campaigns/default/stop.  Every build compiles it; ctest registers it
+// only with -DHDIFF_SERVE_SOAK=ON (the `serve-soak` preset), under the
+// label `serve-soak`.
 #include <signal.h>
 #include <unistd.h>
 
@@ -42,8 +42,7 @@ TEST(ServeSoak, HealthzStaysReadyUnderRandomWorkerKills) {
   config.campaign.executor.jobs = 1;
   config.campaign.bootstrap = core::verification_probes();
   config.shards = 4;
-  config.worker_binary = HDIFF_CLI;
-  config.worker_args = {"--mini", "--budget", "24"};
+  config.worker_binary = "fork";  // any non-empty name forks workers
   config.heartbeat_interval_ms = kHeartbeatMs;
   config.quarantine_after = 1 << 20;  // the soak exercises respawn, not inline
 

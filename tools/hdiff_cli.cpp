@@ -71,8 +71,6 @@
 #include <thread>
 #include <type_traits>
 
-#include <unistd.h>
-
 #include "analysis/lint.h"
 #include "campaign/engine.h"
 #include "campaign/store.h"
@@ -707,88 +705,6 @@ volatile std::sig_atomic_t g_serve_drain = 0;
 
 void serve_drain_handler(int) { g_serve_drain = 1; }
 
-/// The running hdiff binary, for spawning serve-worker children.
-std::string self_exe_path() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) return std::string(buf, static_cast<std::size_t>(n));
-  return "hdiff";
-}
-
-/// A supervisor-passed signature: exactly 16 lowercase hex digits (hex64),
-/// else a usage error naming the flag.
-void sig_flag(const char* flag, const char* value, std::string* out) {
-  const std::string_view v(value);
-  if (v.size() != 16 ||
-      v.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
-    std::fprintf(stderr, "%s wants 16 lowercase hex digits, got %s\n", flag,
-                 value);
-    std::exit(2);
-  }
-  *out = v;
-}
-
-/// Hidden subcommand: one shard of one round, spawned by the supervisor.
-/// Flags reproduce the supervisor's campaign config minus the bootstrap,
-/// which only round 0 builds; the worker checks the ask against the
-/// signatures the supervisor passes and refuses a stale one.
-int cmd_serve_worker(int argc, char** argv) {
-  // The supervisor may die while we beat into the inherited pipe; that must
-  // not kill the worker mid-shard (the result file is still useful).
-  std::signal(SIGPIPE, SIG_IGN);
-  hdiff::serve::WorkerOptions options;
-  bool mini = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mini") == 0) {
-      mini = true;
-    } else if (std::strcmp(argv[i], "--no-minimize") == 0) {
-      options.config.minimize_new = false;
-    } else if (std::strcmp(argv[i], "--streams") == 0) {
-      options.config.streams = true;
-    } else if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
-      options.config.state_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      numeric_flag("--budget", argv[++i], 1, kMaxBudget,
-                   &options.config.budget_per_round);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      numeric_flag("--jobs", argv[++i], 1, kMaxJobs,
-                   &options.config.executor.jobs);
-    } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      numeric_flag("--shard", argv[++i], 0, kMaxShards - 1, &options.shard);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      numeric_flag("--shards", argv[++i], 1, kMaxShards, &options.shards);
-    } else if (std::strcmp(argv[i], "--round") == 0 && i + 1 < argc) {
-      numeric_flag("--round", argv[++i], 0, kMaxRounds, &options.round);
-    } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 && i + 1 < argc) {
-      numeric_flag("--heartbeat-ms", argv[++i], 1, kMaxHeartbeatMs,
-                   &options.heartbeat_interval_ms);
-    } else if (std::strcmp(argv[i], "--heartbeat-fd") == 0 && i + 1 < argc) {
-      numeric_flag("--heartbeat-fd", argv[++i], 0, 1023, &options.heartbeat_fd);
-    } else if (std::strcmp(argv[i], "--config-sig") == 0 && i + 1 < argc) {
-      sig_flag("--config-sig", argv[++i], &options.config_sig);
-    } else if (std::strcmp(argv[i], "--mutation-sig") == 0 && i + 1 < argc) {
-      sig_flag("--mutation-sig", argv[++i], &options.mutation_sig);
-    } else if (std::strcmp(argv[i], "--export-metrics") == 0) {
-      options.export_metrics = true;
-    } else if (std::strcmp(argv[i], "--export-trace") == 0) {
-      options.export_trace = true;
-    } else {
-      std::fprintf(stderr, "unknown serve-worker option %s\n", argv[i]);
-      return 2;
-    }
-  }
-  if (options.config.state_dir.empty()) {
-    std::fprintf(stderr, "serve-worker requires --state-dir DIR\n");
-    return 2;
-  }
-  if (options.round == 0) {
-    options.config.bootstrap =
-        mini ? hdiff::core::verification_probes() : one_shot_corpus();
-  }
-  auto fleet = hdiff::impls::make_all_implementations();
-  return hdiff::serve::run_worker(options, fleet);
-}
-
 bool parse_round_shard(std::string_view spec, std::size_t* round,
                        std::size_t* shard) {
   const std::size_t colon = spec.find(':');
@@ -881,25 +797,9 @@ int cmd_serve(int argc, char** argv) {
   }
   config.campaign.bootstrap =
       mini ? hdiff::core::verification_probes() : one_shot_corpus();
-  // Workers plan from the committed checkpoint, which carries the adopted
-  // plan — no worker flag needed (and none exists, by design).
   if (!no_coverage) config.campaign.coverage = campaign_coverage_plan(!mini);
-  if (!in_process) config.worker_binary = self_exe_path();
-  // Workers rebuild the campaign config from these flags; the config
-  // signature check catches any drift.
-  if (mini) config.worker_args.push_back("--mini");
-  if (!config.campaign.minimize_new) {
-    config.worker_args.push_back("--no-minimize");
-  }
-  if (config.campaign.streams) config.worker_args.push_back("--streams");
-  config.worker_args.push_back("--budget");
-  config.worker_args.push_back(
-      std::to_string(config.campaign.budget_per_round));
-  if (config.campaign.executor.jobs != 0) {
-    config.worker_args.push_back("--jobs");
-    config.worker_args.push_back(
-        std::to_string(config.campaign.executor.jobs));
-  }
+  // Any non-empty name forks the shard workers from this process.
+  if (!in_process) config.worker_binary = argv[0];
 
   hdiff::obs::Registry registry;
   config.obs.metrics = &registry;
@@ -1176,7 +1076,6 @@ int main(int argc, char** argv) {
   if (cmd == "lint") return cmd_lint(argc, argv);
   if (cmd == "campaign") return cmd_campaign(argc, argv);
   if (cmd == "serve") return cmd_serve(argc, argv);
-  if (cmd == "serve-worker") return cmd_serve_worker(argc, argv);
   if (cmd == "tail") return cmd_tail(argc, argv);
   if (cmd == "audit") return cmd_audit(argc, argv);
   if (cmd == "parse") return cmd_parse(argc, argv);
