@@ -76,7 +76,10 @@ std::string coverage_plan_sig(const CoveragePlan& plan) {
     acc += "|s:" + std::to_string(s.production) + ":" +
            std::to_string(s.alt_a) + ":" + std::to_string(s.alt_b) + ":" +
            s.kind + ":" + byte_class_hex(s.overlap);
-    for (std::size_t a : s.related) acc += "," + std::to_string(a);
+    for (std::size_t a : s.related) {
+      acc += ',';
+      acc += std::to_string(a);
+    }
   }
   return core::hex16(core::fnv1a64(acc, kPlanSigBasis));
 }

@@ -360,9 +360,7 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
   std::vector<ArmView> views;
   for (std::size_t e = 0; e < store.entries.size(); ++e) {
     for (const RequestArm& arm : store.entry_arms[e]) {
-      // Every considered arm gets its (possibly zero) row: the rows are
-      // part of the checkpoint bytes.
-      const ArmStats& stats = store.arms[{e, arm.kind}];
+      const ArmStats& stats = arm_stats(store.arms, e, arm.kind);
       ArmView view;
       view.attempts = stats.attempts;
       view.novel = stats.novel;
@@ -465,7 +463,7 @@ RoundPlan plan_round(StateStore& store, const CampaignConfig& config,
     std::vector<ArmView> sviews;
     for (std::size_t e = 0; e < store.stream_entries.size(); ++e) {
       for (const StreamArm& arm : store.stream_entry_arms[e]) {
-        const ArmStats& sstats = store.stream_arms[{e, arm.kind}];
+        const ArmStats& sstats = arm_stats(store.stream_arms, e, arm.kind);
         ArmView view;
         view.attempts = sstats.attempts;
         view.novel = sstats.novel;
@@ -792,7 +790,6 @@ CampaignReport CampaignEngine::run(
     const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet) {
   CampaignReport report;
   StateStore store(config_.state_dir);
-  store.set_io_jobs(config_.executor.jobs);
   if (!open_campaign(store, config_, &report.resumed, &report.error)) {
     return report;
   }
@@ -826,10 +823,11 @@ CampaignReport CampaignEngine::run(
     report.duplicate_total += rr.duplicate;
 
     // ---- checkpoint ------------------------------------------------------
-    // commit_round writes the round's staged corpus files and findings
-    // lines, then renames the checkpoint: the rename is the commit point.
-    // The crash hook stops exactly between the two — the worst window —
-    // which load() heals by truncating the artifact back to the checkpoint.
+    // commit_round appends the round's log records and findings lines,
+    // then renames the checkpoint: the rename is the commit point.  The
+    // crash hook stops exactly between the two — the worst window — which
+    // load() heals by cutting the log and the artifact back to the
+    // checkpoint.
     if (config_.crash_after_round == static_cast<int>(round)) {
       if (!store.write_staged()) {
         report.error = store.error();

@@ -86,9 +86,9 @@ struct CampaignConfig {
   /// E15 control arm).  Adopted with the plan; checkpoint wins thereafter.
   bool coverage_weighting = true;
 
-  /// Test hook: simulate a kill after this round wrote its corpus files and
-  /// appended its findings but before the checkpoint rename (the worst
-  /// crash window).  -1 = never.
+  /// Test hook: simulate a kill after this round appended its log records
+  /// and its findings but before the checkpoint rename (the worst crash
+  /// window).  -1 = never.
   int crash_after_round = -1;
 };
 

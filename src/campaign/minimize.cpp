@@ -105,9 +105,9 @@ MinimizeOutcome minimize_spec(
       if (attempt(std::move(candidate))) progressed = true;
     };
     if (!exhausted())
-      canonicalize([](http::RequestSpec& s) { s.sep1 = " "; });
+      canonicalize([](http::RequestSpec& s) { s.sep1 = ' '; });
     if (!exhausted())
-      canonicalize([](http::RequestSpec& s) { s.sep2 = " "; });
+      canonicalize([](http::RequestSpec& s) { s.sep2 = ' '; });
     if (!exhausted())
       canonicalize([](http::RequestSpec& s) { s.line_terminator = "\r\n"; });
     if (!exhausted())

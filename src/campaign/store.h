@@ -1,68 +1,79 @@
-// Persistent campaign state: content-addressed corpus + append-only
-// findings DB + crash-safe checkpoint.
+// Persistent campaign state: one append-only campaign log (corpus,
+// stream corpus and findings) + a delta-sized checkpoint + the findings
+// artifact.
 //
 // State-dir layout:
 //
-//   <state-dir>/campaign.state    checkpointed state (the source of truth):
-//                                 config signature, committed round count,
-//                                 corpus entry list, scheduler arm stats,
-//                                 quarantine retry queue, and every finding.
-//                                 Written tmp+rename, so a kill at any point
-//                                 leaves either the previous or the next
-//                                 checkpoint, never a torn file.
-//   <state-dir>/corpus/<h>.case   one request spec per file, named by the
-//                                 16-hex-digit content address of its
-//                                 serialized form.  Writes are idempotent
-//                                 (same content -> same bytes at the same
-//                                 path), so replaying an interrupted round
-//                                 rewrites them identically.
-//   <state-dir>/corpus/<h>.stream one request *stream* per file (stream
-//                                 seeds and interesting stream mutants),
-//                                 serialize_stream form, same idempotent
-//                                 content-addressed discipline.
+//   <state-dir>/campaign.state    checkpoint (the source of truth): config
+//                                 signature, committed round count, the
+//                                 committed prefix of campaign.log, the
+//                                 coverage block, the nonzero scheduler arm
+//                                 stats and the quarantine retry queue.
+//                                 Written tmp+rename, so a kill at any
+//                                 point leaves either the previous or the
+//                                 next checkpoint, never a torn file.
+//   <state-dir>/campaign.log      append-only log of everything that only
+//                                 grows: one record per corpus entry,
+//                                 stream entry and finding, in the order
+//                                 the campaign added them.  Only the prefix
+//                                 the checkpoint's log= line names is
+//                                 committed; bytes past it (a crash hit
+//                                 between append and rename) are ignored by
+//                                 readers and truncated by load().
 //   <state-dir>/findings.jsonl    append-only JSON-lines artifact, one
-//                                 finding per line, round-tagged.  Lines for
-//                                 rounds newer than the checkpoint (a crash
-//                                 hit between append and rename) are
-//                                 truncated away on load, which is what
-//                                 makes resume byte-identical to an
-//                                 uninterrupted run.
+//                                 finding per line, round-tagged.
+//                                 Regenerated from the committed findings on
+//                                 load, which is what makes resume
+//                                 byte-identical to an uninterrupted run.
 //   <state-dir>/lock              flock(2) advisory lock taken by every
 //                                 writer (engine run, serve supervisor).  A
 //                                 second writer pointed at the same dir gets
 //                                 a structured refusal instead of corrupting
-//                                 the append-only artifact.
+//                                 the append-only artifacts.
 //
-// campaign.state, *.case (spec-v1) and *.stream (hdiff-stream-v1) are
-// durable records (core/record.h holds the shared framing).  The
-// checkpoint's header is `hdiff-campaign-state-v1`; its keys, in render
-// order (<b> = field_enc bytes, <n> = decimal):
+// campaign.state and every campaign.log line are durable records
+// (core/record.h holds the shared framing).  The checkpoint's header is
+// `hdiff-campaign-state-v2`; its keys, in render order (<b> = field_enc
+// bytes, <n> = decimal):
 //
 //   config_sig=<sig>  rounds_completed=<n>
+//   log=<bytes> <16-hex FNV-1a 64 of those bytes>
 //   covsig=<sig>  covweight=<0|1>  covprod=<depth> <leftmost> <name>
 //   covsite=<prod> <alt_a> <alt_b> <kind> <64-hex class> <rank> <related>...
 //   covboot=<id>...  covered=<id>...  gaphit=<site> <hits>
 //                                     (coverage block: only with a plan)
-//   entry=<hash> <b:prov>  sentry=<hash> <b:prov>
-//   arm=<entry> <kind> <attempts> <novel> <cursor>  (sarm= for streams)
+//   arm=<entry> <kind> <attempts> <novel> <cursor>  (sarm= for streams;
+//                                     only rows with a nonzero count, an
+//                                     absent row reads as zero)
 //   retry=<b:prov> <b:raw> <b:spec_text> <b:description>
+//
+// campaign.log records (no header; the checkpoint's FNV pins the bytes):
+//
+//   entry=<hash> <b:prov> <b:spec-v1 text>
+//   sentry=<hash> <b:prov> <b:hdiff-stream-v1 text>
 //   finding=<round> <fingerprint> <b:detector> <b:prov> <b:case_uuid>
 //           <b:description> <b:component>...
 //
+// A load checks the prefix's FNV and that every entry's text hashes to its
+// <hash> (its content address).  A `hdiff-campaign-state-v1` checkpoint
+// (entry=/sentry=/finding= lines in the checkpoint itself, specs in
+// corpus/<h>.case and corpus/<h>.stream files) still loads; it stages its
+// whole history, so its first commit writes a complete log and a v2
+// checkpoint and leaves corpus/ unreferenced.
+//
 // Durability (group commit): add_entry/add_stream_entry/add_finding only
-// stage their bytes in memory; commit_round publishes a whole round at once.
-// It writes every staged corpus file to <path>.tmp and fsyncs each (the
-// fsyncs run concurrently, bounded by set_io_jobs), renames them into
-// place, fsyncs corpus/ once, appends the round's findings lines in one
-// write, and only then publishes the checkpoint through
+// stage their bytes in memory; commit_round publishes a whole round with
+// three fsyncs, whatever it added: it writes the round's log records in one
+// write past the previous prefix and fdatasyncs the log (plus one directory
+// fsync the first time it writes the log; a round that added nothing skips
+// the log), appends the round's findings.jsonl
+// lines in one write, and only then publishes the checkpoint through
 // `write_file_atomic_durable` (tmp + fsync + rename + directory fsync).  So
-// a checkpoint never names a corpus file that is not durable, and a
+// a checkpoint never commits a log byte that is not durable, and a
 // power-loss-style kill cannot surface an empty or partial checkpoint (the
-// classic rename-without-fsync hole).  Files left by a crashed round are
-// unreferenced and content-addressed; the re-run round rewrites them
-// identically.  findings.jsonl appends are deliberately not fsynced: the
-// checkpoint is the source of truth and load() regenerates the artifact
-// from it.
+// classic rename-without-fsync hole).  findings.jsonl appends are
+// deliberately not fsynced: the checkpoint and its log prefix are the
+// source of truth and load() regenerates the artifact from them.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +104,8 @@ struct CorpusEntry {
 
 /// One stream-corpus member: a connection-level seed ("stream-seed:<name>")
 /// or an interesting stream mutant ("stream-mutant:<seed-hash>:<kind>"),
-/// stored as corpus/<hash>.stream in serialize_stream form so splice/
-/// reorder/duplicate/drop operators can keep working on it in later rounds.
+/// logged in serialize_stream form so splice/reorder/duplicate/drop
+/// operators can keep working on it in later rounds.
 struct StreamEntry {
   std::string hash;  ///< content address of the serialized stream
   std::string provenance;
@@ -142,13 +153,30 @@ struct StreamArm {
 
 /// Divergence-feedback statistics for one scheduler arm (corpus entry x
 /// mutation kind); persisted so the schedule is a pure function of the
-/// checkpoint.
+/// checkpoint.  An arm with no row has all-zero stats.
 struct ArmStats {
   std::size_t attempts = 0;  ///< mutants of this arm actually observed
   std::size_t novel = 0;     ///< novel fingerprints those mutants produced
   std::size_t cursor = 0;    ///< next variant index (rotation)
 
+  bool zero() const { return attempts == 0 && novel == 0 && cursor == 0; }
   friend bool operator==(const ArmStats&, const ArmStats&) = default;
+};
+
+/// (entry index, kind) -> stats; rows exist only for arms that were tried.
+using ArmTable = std::map<std::pair<std::size_t, std::string>, ArmStats>;
+
+/// The stats of arm (`entry`, `kind`) without inserting a row: an absent
+/// row is all zero.
+const ArmStats& arm_stats(const ArmTable& table, std::size_t entry,
+                          const std::string& kind);
+
+/// Work counters of one commit_round.
+struct CommitStats {
+  std::size_t fsyncs = 0;          ///< fsync and fdatasync calls
+  std::size_t log_bytes = 0;       ///< appended to campaign.log
+  std::size_t findings_bytes = 0;  ///< appended to findings.jsonl
+  std::size_t state_bytes = 0;     ///< checkpoint bytes written
 };
 
 // The durable-record codec (field encoding, spec serialization) lives in
@@ -160,21 +188,22 @@ using core::serialize_spec;
 
 /// Content address: fingerprint-format hash of `serialize_spec(spec)`.
 /// Keyed on the serialized spec rather than the wire bytes so two specs
-/// that happen to concatenate to the same wire form keep distinct files.
+/// that happen to concatenate to the same wire form stay distinct entries.
 std::string content_address(const http::RequestSpec& spec);
 
 /// Content address of a stream: hash of `serialize_stream(stream)` — keyed
 /// on the per-message structure, so two streams whose messages concatenate
-/// to identical wire bytes keep distinct corpus files.
+/// to identical wire bytes stay distinct entries.
 std::string stream_content_address(const stream::RequestStream& stream);
 
 /// Durable tmp+rename publish: writes `path + ".tmp"`, fsyncs it, renames
 /// it over `path`, and fsyncs the parent directory so the rename itself
 /// survives a power loss.  Readers see the old bytes or the new bytes,
 /// never a torn prefix; a stale/torn tmp file left by an earlier crash is
-/// simply overwritten.
+/// simply overwritten.  Adds the fsyncs it issues to `*fsyncs` when given.
 bool write_file_atomic_durable(const std::string& path,
-                               std::string_view content);
+                               std::string_view content,
+                               std::size_t* fsyncs = nullptr);
 
 /// In-memory image of the state dir plus the commit protocol.
 class StateStore {
@@ -199,68 +228,67 @@ class StateStore {
   /// Create the directory layout for a fresh campaign.
   bool init(const std::string& config_sig);
 
-  /// Load the checkpoint, the corpus files it references, and truncate
-  /// findings.jsonl back to the committed round count.
+  /// Load the checkpoint and the log prefix it commits, truncate a torn
+  /// log tail past that prefix, and regenerate findings.jsonl from the
+  /// committed findings.
   bool load();
 
-  /// Load without healing findings.jsonl and without requiring the lock —
-  /// the observer path (`campaign status`) and serve workers, which read
-  /// the supervisor-owned master checkpoint while the supervisor may be
-  /// appending to the artifact.
+  /// Load without healing the log or findings.jsonl and without requiring
+  /// the lock — the observer path (`campaign status`), which may read a
+  /// state dir whose owner is appending to both.
   bool load_readonly();
 
-  /// Append an entry and stage its corpus file, which the next
-  /// commit_round writes (idempotent).  Returns the entry index, or the
-  /// existing index for a duplicate hash.
+  /// Append an entry and stage its log record, which the next commit_round
+  /// writes (idempotent).  Returns the entry index, or the existing index
+  /// for a duplicate hash.
   std::size_t add_entry(CorpusEntry entry);
   bool has_entry(const std::string& hash) const;
   /// Index of the entry with content address `hash`, or npos.
   std::size_t entry_index(const std::string& hash) const;
 
   /// Stream-corpus counterparts of add_entry/has_entry/entry_index (stages
-  /// corpus/<hash>.stream; idempotent).
+  /// a sentry= record; idempotent).
   std::size_t add_stream_entry(StreamEntry entry);
   bool has_stream_entry(const std::string& hash) const;
   std::size_t stream_entry_index(const std::string& hash) const;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  /// Record a finding and stage its findings.jsonl line.  commit_round
-  /// appends the round's lines before the checkpoint rename; a crash in
-  /// between is healed by load()'s truncation.
+  /// Record a finding and stage its log record and findings.jsonl line.
+  /// commit_round appends both before the checkpoint rename; a crash in
+  /// between is healed by load().
   void add_finding(Finding f);
   bool known_fingerprint(const std::string& fp) const {
     return fingerprints_.count(fp) > 0;
   }
 
-  /// Steps 1-4 of commit_round: make the staged corpus files durable and
-  /// append the staged findings lines, without publishing the checkpoint.
-  /// Returns false with error() set on any failed write, fsync, rename or
-  /// append (the staged bytes stay staged).  Public so the engine's crash
-  /// hook can stop in the worst window, right before the checkpoint rename.
+  /// The first steps of commit_round: write the staged log records past
+  /// the log's written prefix and fdatasync them, then append the staged
+  /// findings lines, without publishing the checkpoint.  Returns false
+  /// with error() set on any failed open, write, fdatasync or append (what
+  /// was not written stays staged).  Public so the engine's crash hook can
+  /// stop in the worst window, right before the checkpoint rename.
   bool write_staged();
 
   /// write_staged(), then atomically publish the state with
-  /// `rounds_completed = round + 1`.  On failure returns false with error()
-  /// set and the previous checkpoint untouched.
+  /// `rounds_completed = round + 1`, committing the log written so far.
+  /// On failure returns false with error() set and the previous checkpoint
+  /// untouched.
   bool commit_round(std::size_t round);
 
-  /// Bound on the concurrent corpus fsyncs of write_staged (0 = hardware
-  /// concurrency, the ExecutorConfig::jobs convention).  Writers pass their
-  /// executor's `jobs`.
-  void set_io_jobs(std::size_t jobs) { io_jobs_ = jobs; }
+  /// Work counters of the last commit_round.
+  const CommitStats& last_commit() const { return last_commit_; }
 
   // ---- checkpointed state (mutated by the engine between commits) ----
   std::string config_sig;
   std::size_t rounds_completed = 0;  ///< committed rounds (round 0 = first)
   std::vector<CorpusEntry> entries;
-  std::map<std::pair<std::size_t, std::string>, ArmStats> arms;
+  ArmTable arms;
   /// Stream corpus and its (stream entry x StreamMutationKind) arms.  Both
-  /// serialize as their own checkpoint keys (sentry=/sarm=), so a campaign
-  /// without streams renders a byte-identical checkpoint to one built
-  /// before the stream subsystem existed.
+  /// serialize as their own keys (sentry= in the log, sarm= in the
+  /// checkpoint), so a campaign without streams writes neither.
   std::vector<StreamEntry> stream_entries;
-  std::map<std::pair<std::size_t, std::string>, ArmStats> stream_arms;
+  ArmTable stream_arms;
   std::vector<RetryEntry> retry_queue;
   std::vector<Finding> findings;
   /// Static coverage plan (DESIGN.md §14), serialized into the checkpoint
@@ -290,33 +318,32 @@ class StateStore {
 
   /// Paths (exposed for the byte-identity checks in tests).
   std::string state_path() const;
+  std::string log_path() const;
   std::string findings_path() const;
-  std::string corpus_path(const std::string& hash) const;
-  std::string stream_corpus_path(const std::string& hash) const;
   std::string lock_path() const;
 
  private:
-  /// A corpus file waiting for the next commit.
-  struct StagedFile {
-    std::string path;
-    std::string content;
-  };
-
-  /// The checkpoint text.  The finding= lines are not re-encoded here:
-  /// add_finding and parse_state append each one once to finding_lines_,
-  /// and render_state concatenates that text (findings dominate the
-  /// checkpoint and only ever grow).
+  /// The v2 checkpoint text.
   std::string render_state() const;
-  bool parse_state(std::string_view text);
+  /// Read the checkpoint and the log prefix it commits.  `heal` truncates
+  /// a log tail past that prefix.
+  bool read_state(bool heal);
+  bool parse_state(std::string_view text, bool* v1);
+  /// Apply one entry=/sentry=/finding= record, from the log (v2: the
+  /// entry's text is in the record) or from a v1 checkpoint (read from
+  /// corpus/).  False with error() set on a bad record.
+  bool apply_record(const core::Record& line, bool v1);
+  bool read_log();
   bool truncate_findings() const;
 
   std::string dir_;
   std::string error_;
   int lock_fd_ = -1;
-  std::size_t io_jobs_ = 0;
-  std::vector<StagedFile> staged_files_;
+  std::string staged_log_;       ///< log records added since the last write
   std::string staged_findings_;  ///< jsonl lines of this round's findings
-  std::string finding_lines_;    ///< checkpoint finding= lines, in order
+  std::uint64_t log_bytes_ = 0;  ///< log bytes written (and fdatasynced)
+  std::uint64_t log_fnv_ = core::kFnv1a64Basis;  ///< FNV-1a 64 of them
+  CommitStats last_commit_;
   std::unordered_map<std::string, std::size_t> entry_index_;
   std::unordered_map<std::string, std::size_t> stream_entry_index_;
   std::set<std::string> fingerprints_;

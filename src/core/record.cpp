@@ -10,7 +10,7 @@
 namespace hdiff::core {
 
 std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  return fnv1a64(bytes, 14695981039346656037ull);  // FNV offset basis
+  return fnv1a64(bytes, kFnv1a64Basis);
 }
 
 std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t state) noexcept {

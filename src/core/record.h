@@ -20,6 +20,9 @@
 
 namespace hdiff::core {
 
+/// The FNV-1a 64 offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ull;
+
 /// FNV-1a 64 from the standard offset basis: the observation-memo hash,
 /// the shard key, and (as hex16) the content address and fingerprint.
 std::uint64_t fnv1a64(std::string_view bytes) noexcept;

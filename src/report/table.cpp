@@ -78,7 +78,7 @@ std::string render_pair_matrix(
       if (has(hrs, f, b)) cell += 'S';    // Smuggling
       if (has(hot, f, b)) cell += 'H';    // Host of Troubles
       if (has(cpdos, f, b)) cell += 'C';  // CPDoS
-      if (cell.empty()) cell = ".";
+      if (cell.empty()) cell = '.';
       row.push_back(std::move(cell));
     }
     table.add_row(std::move(row));

@@ -72,7 +72,6 @@ class Runner {
     // Resume the persisted lifecycle ring before anything can be recorded,
     // so /events sequence numbers continue across supervisor generations.
     flight_.load();
-    store_.set_io_jobs(config_.campaign.executor.jobs);
     // Restart backoff must fit inside one heartbeat interval, or a crashed
     // worker cannot be back before /healthz is allowed to degrade.
     restart_ = config_.restart;

@@ -10,7 +10,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -76,40 +75,49 @@ CampaignConfig make_stream_config(const std::string& dir, std::size_t rounds,
   return config;
 }
 
-/// corpus/ as file name -> bytes: the third artifact (besides the
-/// checkpoint and findings.jsonl) a resumed run must reproduce exactly.
-std::map<std::string, std::string> corpus_listing(const std::string& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& f : fs::directory_iterator(dir + "/corpus")) {
-    files[f.path().filename().string()] = slurp(f.path().string());
-  }
-  return files;
+/// campaign.log: the third artifact (besides the checkpoint and
+/// findings.jsonl) a resumed run must reproduce exactly.
+std::string campaign_log(const std::string& dir) {
+  return slurp(StateStore(dir).log_path());
 }
 
-/// Every entry=/sentry= line of the committed checkpoint names a corpus
-/// file that exists and parses.  Returns the number of entries checked.
-std::size_t expect_checkpoint_files_durable(const std::string& dir) {
-  StateStore store(dir);
-  std::istringstream state(slurp(store.state_path()));
-  std::size_t checked = 0;
+/// The byte count of the checkpoint's log= line: the committed prefix.
+std::uint64_t committed_log_bytes(const std::string& dir) {
+  std::istringstream state(slurp(StateStore(dir).state_path()));
   for (std::string line; std::getline(state, line);) {
-    const bool single = line.rfind("entry=", 0) == 0;
-    const bool stream_entry = line.rfind("sentry=", 0) == 0;
-    if (!single && !stream_entry) continue;
-    const std::size_t eq = line.find('=');
-    const std::string hash = line.substr(eq + 1, line.find(' ') - eq - 1);
-    const std::string path = single ? store.corpus_path(hash)
-                                    : store.stream_corpus_path(hash);
-    EXPECT_TRUE(fs::exists(path)) << path;
-    if (single) {
+    if (line.rfind("log=", 0) == 0) return std::stoull(line.substr(4));
+  }
+  ADD_FAILURE() << "no log= line in " << dir;
+  return 0;
+}
+
+/// The committed checkpoint's log= line names a prefix campaign.log holds
+/// in full, and every entry= and sentry= record in it parses.  Returns the
+/// number of entries checked.
+std::size_t expect_checkpoint_log_durable(const std::string& dir) {
+  const std::uint64_t committed = committed_log_bytes(dir);
+  const std::string log = campaign_log(dir);
+  EXPECT_GE(log.size(), committed);
+  core::RecordReader r(std::string_view(log).substr(0, committed));
+  std::size_t checked = 0;
+  while (r.next()) {
+    const core::Record& rec = r.record();
+    std::string text;
+    if (rec.key() == "entry") {
       http::RequestSpec spec;
-      EXPECT_TRUE(deserialize_spec(slurp(path), &spec)) << path;
-    } else {
+      EXPECT_TRUE(rec.bytes(2, &text) && deserialize_spec(text, &spec))
+          << rec.field(0);
+    } else if (rec.key() == "sentry") {
       stream::RequestStream parsed;
-      EXPECT_TRUE(stream::deserialize_stream(slurp(path), &parsed)) << path;
+      EXPECT_TRUE(rec.bytes(2, &text) &&
+                  stream::deserialize_stream(text, &parsed))
+          << rec.field(0);
+    } else {
+      continue;
     }
     ++checked;
   }
+  EXPECT_TRUE(r.ok());
   return checked;
 }
 
@@ -149,6 +157,7 @@ TEST_F(EngineTest, StateAndFindingsAreByteIdenticalAcrossJobs) {
 
   StateStore s1(dir1), s8(dir8);
   EXPECT_EQ(slurp(s1.state_path()), slurp(s8.state_path()));
+  EXPECT_EQ(slurp(s1.log_path()), slurp(s8.log_path()));
   EXPECT_EQ(slurp(s1.findings_path()), slurp(s8.findings_path()));
 
   fs::remove_all(dir1);
@@ -156,7 +165,7 @@ TEST_F(EngineTest, StateAndFindingsAreByteIdenticalAcrossJobs) {
 }
 
 /// Run `make(dir, 2, 1)` uninterrupted and killed-then-resumed; the
-/// checkpoint, findings.jsonl and corpus/ must end byte-identical.
+/// checkpoint, findings.jsonl and campaign.log must end byte-identical.
 void expect_crash_resume_byte_identical(
     const std::vector<std::unique_ptr<impls::HttpImplementation>>& fleet,
     CampaignConfig (*make)(const std::string&, std::size_t, std::size_t),
@@ -167,7 +176,7 @@ void expect_crash_resume_byte_identical(
   const auto ref = CampaignEngine(make(ref_dir, 2, 1)).run(fleet);
   ASSERT_TRUE(ref.error.empty()) << ref.error;
 
-  // Kill in the worst window: round 1's corpus files and findings lines on
+  // Kill in the worst window: round 1's log records and findings lines on
   // disk, checkpoint not yet renamed.
   auto crashing = make(crash_dir, 2, 1);
   crashing.crash_after_round = 1;
@@ -176,14 +185,15 @@ void expect_crash_resume_byte_identical(
   EXPECT_TRUE(interrupted.interrupted);
   EXPECT_LT(interrupted.rounds_completed, ref.rounds_completed);
   {
-    // The window really is the worst one: the round's findings lines are
-    // appended beyond what the checkpoint commits.
+    // The window really is the worst one: the round's findings lines and
+    // log records are appended beyond what the checkpoint commits.
     StateStore crashed(crash_dir);
     ASSERT_TRUE(crashed.load_readonly()) << crashed.error();
     std::istringstream lines(slurp(crashed.findings_path()));
     std::size_t appended = 0;
     for (std::string line; std::getline(lines, line);) ++appended;
     EXPECT_GT(appended, crashed.findings.size());
+    EXPECT_GT(campaign_log(crash_dir).size(), committed_log_bytes(crash_dir));
   }
 
   const auto resumed = CampaignEngine(make(crash_dir, 2, 1)).run(fleet);
@@ -194,8 +204,8 @@ void expect_crash_resume_byte_identical(
 
   StateStore a(ref_dir), b(crash_dir);
   EXPECT_EQ(slurp(a.state_path()), slurp(b.state_path()));
+  EXPECT_EQ(slurp(a.log_path()), slurp(b.log_path()));
   EXPECT_EQ(slurp(a.findings_path()), slurp(b.findings_path()));
-  EXPECT_EQ(corpus_listing(ref_dir), corpus_listing(crash_dir));
 
   fs::remove_all(ref_dir);
   fs::remove_all(crash_dir);
@@ -242,7 +252,7 @@ TEST_F(EngineTest, StreamCampaignIsByteIdenticalAcrossJobs) {
     EXPECT_TRUE(stream_finding);
     EXPECT_EQ(slurp(s1.state_path()), slurp(s8.state_path()));
     EXPECT_EQ(slurp(s1.findings_path()), slurp(s8.findings_path()));
-    EXPECT_EQ(corpus_listing(dir1), corpus_listing(dir8));
+    EXPECT_EQ(campaign_log(dir1), campaign_log(dir8));
 
     fs::remove_all(dir1);
     fs::remove_all(dir8);
@@ -255,7 +265,6 @@ TEST_F(EngineTest, EveryStreamCampaignCommitNamesOnlyDurableFiles) {
   const std::string dir = fresh_dir("stream-durable");
   const CampaignConfig config = make_stream_config(dir, 3, 4);
   StateStore store(dir);
-  store.set_io_jobs(config.executor.jobs);
   ASSERT_TRUE(store.acquire_lock()) << store.error();
   ASSERT_TRUE(store.init(campaign_config_sig(config))) << store.error();
   register_seed_entries(store, config);
@@ -270,7 +279,7 @@ TEST_F(EngineTest, EveryStreamCampaignCommitNamesOnlyDurableFiles) {
     integrate_round(store, config, round, plan.cases, executed.outcomes,
                     chain, &memo, &verdicts);
     ASSERT_TRUE(store.commit_round(round)) << store.error();
-    const std::size_t checked = expect_checkpoint_files_durable(dir);
+    const std::size_t checked = expect_checkpoint_log_durable(dir);
     EXPECT_EQ(checked, store.entries.size() + store.stream_entries.size());
     StateStore reader(dir);
     ASSERT_TRUE(reader.load_readonly()) << reader.error();
@@ -495,6 +504,7 @@ TEST_F(EngineTest, CoverageWeightedRunsAreByteIdenticalAcrossJobs) {
 
   StateStore s1(dir1), s8(dir8);
   EXPECT_EQ(slurp(s1.state_path()), slurp(s8.state_path()));
+  EXPECT_EQ(slurp(s1.log_path()), slurp(s8.log_path()));
   EXPECT_EQ(slurp(s1.findings_path()), slurp(s8.findings_path()));
 
   fs::remove_all(dir1);
@@ -527,6 +537,7 @@ TEST_F(EngineTest, CoverageCrashedRoundResumesByteIdentically) {
 
   StateStore a(ref_dir), b(crash_dir);
   EXPECT_EQ(slurp(a.state_path()), slurp(b.state_path()));
+  EXPECT_EQ(slurp(a.log_path()), slurp(b.log_path()));
   EXPECT_EQ(slurp(a.findings_path()), slurp(b.findings_path()));
 
   fs::remove_all(ref_dir);

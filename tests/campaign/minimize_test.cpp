@@ -26,7 +26,7 @@ http::RequestSpec bloated_spec() {
   key.name = "Key";
   key.value = "marker";
   key.separator = " :\t";  // non-canonical separator
-  key.terminator = "\n";   // non-canonical terminator
+  key.terminator = '\n';   // non-canonical terminator
   spec.headers.push_back(key);
   spec.add("X-Junk-C", "cccccccccccccccc");
   spec.body = "a long body that the divergence never needed at all";
@@ -110,7 +110,7 @@ TEST(MinimizeTest, MeasureOrdersCanonicalBelowNonCanonical) {
   canonical.add("Host", "h");
   http::RequestSpec crooked = canonical;
   crooked.headers[0].separator = " : ";
-  crooked.headers[0].terminator = "\n";
+  crooked.headers[0].terminator = '\n';
   EXPECT_LT(spec_measure(canonical).first, spec_measure(crooked).first);
 }
 

@@ -1,7 +1,8 @@
 // Persistent campaign state: spec text format round-trips byte-exotic
 // specs, content addressing keys on the serialized form (not the wire
-// concatenation), and the StateStore survives a commit/load cycle with the
-// findings artifact healed back to the committed round.
+// concatenation), the StateStore survives a commit/load cycle with the
+// campaign log and the findings artifact healed back to the committed
+// round, and the log reader accepts exactly the committed prefix.
 #include "campaign/store.h"
 
 #include <gtest/gtest.h>
@@ -121,11 +122,16 @@ TEST(StoreTest, AddEntryIsIdempotentByHash) {
   EXPECT_TRUE(store.has_entry(entry.hash));
   EXPECT_EQ(store.entry_index(entry.hash), first);
   EXPECT_EQ(store.entry_index("0000000000000000"), StateStore::npos);
-  // add_entry only stages the file; the round's commit writes it.
-  EXPECT_FALSE(fs::exists(store.corpus_path(entry.hash)));
+  // add_entry only stages the record; the round's commit writes it, once.
+  EXPECT_FALSE(fs::exists(store.log_path()));
   ASSERT_TRUE(store.commit_round(0)) << store.error();
-  EXPECT_TRUE(fs::exists(store.corpus_path(entry.hash)));
-  EXPECT_EQ(slurp(store.corpus_path(entry.hash)), serialize_spec(entry.spec));
+  EXPECT_EQ(slurp(store.log_path()),
+            "entry=" + entry.hash + " " + core::field_enc(entry.provenance) +
+                " " + core::field_enc(serialize_spec(entry.spec)) + "\n");
+  StateStore loaded(dir);
+  ASSERT_TRUE(loaded.load()) << loaded.error();
+  ASSERT_EQ(loaded.entries.size(), 1u);
+  EXPECT_EQ(loaded.entries[0].spec, entry.spec);
   fs::remove_all(dir);
 }
 
@@ -142,11 +148,11 @@ TEST(StoreTest, FailedCorpusWriteFailsTheCommitAndKeepsTheCheckpoint) {
   const std::string committed = slurp(store.state_path());
   const std::string committed_findings = slurp(store.findings_path());
 
-  // Swap corpus/ for a regular file: every open beneath it fails with
-  // ENOTDIR (unlike chmod, this stops root too).
-  const std::string corpus = dir + "/corpus";
-  fs::rename(corpus, dir + "/corpus.aside");
-  { std::ofstream(corpus) << "not a directory"; }
+  // Put a directory where the log was: opening it for writing fails with
+  // EISDIR (unlike chmod, this stops root too).
+  const std::string log = store.log_path();
+  fs::rename(log, log + ".aside");
+  fs::create_directory(log);
 
   CorpusEntry lost;
   lost.spec = exotic_spec();
@@ -160,7 +166,7 @@ TEST(StoreTest, FailedCorpusWriteFailsTheCommitAndKeepsTheCheckpoint) {
   f.provenance = lost.provenance;
   store.add_finding(f);
   EXPECT_FALSE(store.commit_round(1));
-  EXPECT_NE(store.error().find(lost.hash), std::string::npos)
+  EXPECT_NE(store.error().find("campaign.log"), std::string::npos)
       << store.error();
   EXPECT_EQ(store.rounds_completed, 1u);
 
@@ -168,15 +174,15 @@ TEST(StoreTest, FailedCorpusWriteFailsTheCommitAndKeepsTheCheckpoint) {
   // previous checkpoint still loads.
   EXPECT_EQ(slurp(store.state_path()), committed);
   EXPECT_EQ(slurp(store.findings_path()), committed_findings);
-  fs::remove(corpus);
-  fs::rename(dir + "/corpus.aside", corpus);
+  fs::remove(log);
+  fs::rename(log + ".aside", log);
   StateStore loaded(dir);
   ASSERT_TRUE(loaded.load()) << loaded.error();
   EXPECT_EQ(loaded.rounds_completed, 1u);
   ASSERT_EQ(loaded.entries.size(), 1u);
   EXPECT_EQ(loaded.entries[0].hash, kept.hash);
   EXPECT_TRUE(loaded.findings.empty());
-  EXPECT_FALSE(fs::exists(store.corpus_path(lost.hash)));
+  EXPECT_EQ(slurp(log).find(lost.hash), std::string::npos);
 
   fs::remove_all(dir);
 }
@@ -184,7 +190,6 @@ TEST(StoreTest, FailedCorpusWriteFailsTheCommitAndKeepsTheCheckpoint) {
 TEST(StoreTest, CommitWritesStagedStreamFilesAndFindingsAtOnce) {
   const std::string dir = fresh_dir("stage");
   StateStore store(dir);
-  store.set_io_jobs(4);
   ASSERT_TRUE(store.init("sig"));
   StreamEntry entry;
   entry.stream = stream::make_stream(
@@ -198,17 +203,20 @@ TEST(StoreTest, CommitWritesStagedStreamFilesAndFindingsAtOnce) {
   f.detector = "stream-boundary-desync";
   f.provenance = entry.provenance;
   store.add_finding(f);
-  EXPECT_FALSE(fs::exists(store.stream_corpus_path(entry.hash)));
+  EXPECT_FALSE(fs::exists(store.log_path()));
   EXPECT_EQ(slurp(store.findings_path()), "");
 
   ASSERT_TRUE(store.commit_round(0)) << store.error();
-  EXPECT_EQ(slurp(store.stream_corpus_path(entry.hash)),
-            stream::serialize_stream(entry.stream));
-  EXPECT_FALSE(fs::exists(store.stream_corpus_path(entry.hash) + ".tmp"));
+  const std::string log = slurp(store.log_path());
+  EXPECT_EQ(log.rfind("sentry=" + entry.hash + " ", 0), 0u) << log;
+  EXPECT_NE(log.find(core::field_enc(stream::serialize_stream(entry.stream))),
+            std::string::npos);
+  EXPECT_NE(log.find("\nfinding=0 " + f.fingerprint + " "), std::string::npos);
   EXPECT_EQ(slurp(store.findings_path()), finding_jsonl(f) + "\n");
 
   // A second commit with nothing staged appends nothing.
   ASSERT_TRUE(store.commit_round(1)) << store.error();
+  EXPECT_EQ(slurp(store.log_path()), log);
   EXPECT_EQ(slurp(store.findings_path()), finding_jsonl(f) + "\n");
   StateStore loaded(dir);
   ASSERT_TRUE(loaded.load()) << loaded.error();
@@ -230,6 +238,7 @@ TEST(StoreTest, CommitLoadRoundTripsEveryField) {
 
   store.arms[{0, "duplicate-header"}] = ArmStats{5, 2, 3};
   store.arms[{0, "unicode-in-value"}] = ArmStats{1, 0, 1};
+  store.arms[{0, "untried"}] = ArmStats{};  // sparse: not written
 
   RetryEntry retry;
   retry.provenance = "seed:get";
@@ -261,6 +270,8 @@ TEST(StoreTest, CommitLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded.entries[0].spec, entry.spec);
 
   ASSERT_EQ(loaded.arms.size(), 2u);
+  EXPECT_EQ(arm_stats(loaded.arms, 0, "untried"), ArmStats{});
+  EXPECT_EQ(slurp(loaded.state_path()).find("untried"), std::string::npos);
   const auto& arm = loaded.arms.at({0, "duplicate-header"});
   EXPECT_EQ(arm.attempts, 5u);
   EXPECT_EQ(arm.novel, 2u);
@@ -371,7 +382,8 @@ TEST(StoreTest, CovsiteRejectsOutOfRangeReferences) {
   ASSERT_TRUE(store.commit_round(0)) << store.error();
   {
     std::ofstream out(store.state_path(), std::ios::binary);
-    out << "hdiff-campaign-state-v1\nconfig_sig=cfg\nrounds_completed=1\n"
+    out << "hdiff-campaign-state-v2\nconfig_sig=cfg\nrounds_completed=1\n"
+        << "log=0 " << core::hex16(core::kFnv1a64Basis) << "\n"
         << "covsig=x\ncovweight=1\ncovprod=0 1 root\n"
         << "covsite=9 1 2 f " << std::string(64, '0') << " 5\n";
   }
@@ -547,9 +559,8 @@ TEST(StoreTest, SecondWriterIsRefusedByTheLockFile) {
 }
 
 TEST(StoreTest, ReloadedStreamCampaignRecommitsByteIdentically) {
-  // The checkpoint's finding= lines are cached text: add_finding renders
-  // them during the run, parse_state keeps them on load.  Re-committing
-  // the loaded image must reproduce the checkpoint byte for byte.
+  // Re-committing a loaded stream campaign must reproduce the checkpoint
+  // byte for byte and append nothing to the log.
   const std::string dir = fresh_dir("recommit");
   CampaignConfig config;
   config.state_dir = dir;
@@ -566,6 +577,7 @@ TEST(StoreTest, ReloadedStreamCampaignRecommitsByteIdentically) {
   ASSERT_GT(report.total_findings, 0u);
   ASSERT_GT(report.stream_entries, 0u);
   const std::string committed = slurp(StateStore(dir).state_path());
+  const std::string log = slurp(StateStore(dir).log_path());
 
   StateStore loaded(dir);
   ASSERT_TRUE(loaded.acquire_lock()) << loaded.error();
@@ -574,6 +586,7 @@ TEST(StoreTest, ReloadedStreamCampaignRecommitsByteIdentically) {
   ASSERT_TRUE(loaded.commit_round(loaded.rounds_completed - 1))
       << loaded.error();
   EXPECT_EQ(slurp(loaded.state_path()), committed);
+  EXPECT_EQ(slurp(loaded.log_path()), log);
   fs::remove_all(dir);
 }
 
@@ -595,6 +608,257 @@ TEST(StoreTest, EngineRefusesADirAnotherWriterHolds) {
   // The refused engine must not have touched the dir: no checkpoint.
   EXPECT_FALSE(StateStore(dir).exists());
   fs::remove_all(dir);
+}
+
+/// A request entry whose spec is unique to (`round`, `i`).
+CorpusEntry numbered_entry(std::size_t round, std::size_t i) {
+  CorpusEntry e;
+  e.spec = http::make_get("origin.example", "/r" + std::to_string(round) +
+                                                "/" + std::to_string(i));
+  e.hash = content_address(e.spec);
+  e.provenance = "seed:n" + std::to_string(i);
+  return e;
+}
+
+Finding numbered_finding(std::size_t round, std::size_t i) {
+  Finding f;
+  f.round = round;
+  f.fingerprint = core::hex16(round * 1000 + i);
+  f.detector = "HRS";
+  f.vector = {"squid->iis"};
+  f.provenance = "seed:n" + std::to_string(i);
+  f.case_uuid = "camp-r" + std::to_string(round) + "-" + std::to_string(i);
+  f.description = "finding " + std::to_string(i);
+  return f;
+}
+
+/// Stage `n` entries and `n` findings for `round`.
+void stage_round(StateStore& store, std::size_t round, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    store.add_entry(numbered_entry(round, i));
+    store.add_finding(numbered_finding(round, i));
+  }
+}
+
+/// Rewrite the fields of `dir`'s checkpoint log= line as `bytes fnv`.
+void set_log_line(const std::string& dir, const std::string& bytes,
+                  const std::string& fnv) {
+  const StateStore paths(dir);
+  std::string state = slurp(paths.state_path());
+  const std::size_t at = state.find("\nlog=") + 5;
+  state.replace(at, state.find('\n', at) - at, bytes + " " + fnv);
+  std::ofstream(paths.state_path(), std::ios::binary | std::ios::trunc)
+      << state;
+}
+
+/// Replace `dir`'s log with `log`, and point its checkpoint's log= line at
+/// the first `committed` bytes of it (with their FNV), the way a commit
+/// would have.
+void write_log_and_commit(const std::string& dir, const std::string& log,
+                          std::size_t committed) {
+  set_log_line(dir, std::to_string(committed),
+               core::hex16(core::fnv1a64(
+                   std::string_view(log).substr(0, committed))));
+  std::ofstream(StateStore(dir).log_path(),
+                std::ios::binary | std::ios::trunc)
+      << log;
+}
+
+TEST(StoreTest, CommitCostsThreeFsyncsWhateverTheRoundAdds) {
+  const std::string dir = fresh_dir("fsyncs");
+  StateStore store(dir);
+  ASSERT_TRUE(store.init("sig"));
+
+  stage_round(store, 0, 1);
+  ASSERT_TRUE(store.commit_round(0)) << store.error();
+  const CommitStats one = store.last_commit();
+  // Log fdatasync, checkpoint fsync, directory fsync; plus one directory
+  // fsync for the round that creates the log.
+  EXPECT_EQ(one.fsyncs, 3u + 1u);
+  EXPECT_EQ(one.log_bytes, fs::file_size(store.log_path()));
+  EXPECT_EQ(one.findings_bytes, fs::file_size(store.findings_path()));
+  EXPECT_EQ(one.state_bytes, fs::file_size(store.state_path()));
+
+  stage_round(store, 1, 100);
+  ASSERT_TRUE(store.commit_round(1)) << store.error();
+  const CommitStats hundred = store.last_commit();
+  EXPECT_EQ(hundred.fsyncs, 3u);
+  EXPECT_GT(hundred.log_bytes, 50 * one.log_bytes);
+  EXPECT_GT(hundred.findings_bytes, 50 * one.findings_bytes);
+  // The checkpoint does not grow with the entries and findings: only the
+  // digits of its log= line can.
+  EXPECT_LE(hundred.state_bytes, one.state_bytes + 4);
+
+  // Nothing staged: only the checkpoint is published.
+  ASSERT_TRUE(store.commit_round(2)) << store.error();
+  EXPECT_EQ(store.last_commit().fsyncs, 2u);
+  EXPECT_EQ(store.last_commit().log_bytes, 0u);
+
+  StateStore loaded(dir);
+  ASSERT_TRUE(loaded.load()) << loaded.error();
+  EXPECT_EQ(loaded.entries.size(), 101u);
+  EXPECT_EQ(loaded.findings.size(), 101u);
+  fs::remove_all(dir);
+}
+
+/// A committed round 0 (entries, a stream entry, findings) followed by
+/// round 1's records written past the committed prefix, uncommitted — the
+/// state a crash between append and rename leaves.
+struct TornLog {
+  std::string dir;
+  std::string log;        ///< the whole file
+  std::size_t committed;  ///< the checkpoint's prefix
+};
+
+TornLog torn_log(const std::string& tag) {
+  TornLog t{fresh_dir(tag), {}, 0};
+  StateStore store(t.dir);
+  EXPECT_TRUE(store.init("sig"));
+  stage_round(store, 0, 2);
+  StreamEntry s;
+  s.stream = stream::make_stream({http::make_get("a.example"), exotic_spec()});
+  s.hash = stream_content_address(s.stream);
+  s.provenance = "stream-seed:pair";
+  store.add_stream_entry(s);
+  EXPECT_TRUE(store.commit_round(0)) << store.error();
+  t.committed = fs::file_size(store.log_path());
+  stage_round(store, 1, 1);
+  EXPECT_TRUE(store.write_staged()) << store.error();
+  t.log = slurp(store.log_path());
+  EXPECT_GT(t.log.size(), t.committed);
+  return t;
+}
+
+TEST(StoreTest, EveryProperLogPrefixLoadsTheCommitOrIsRejected) {
+  const TornLog t = torn_log("log-prefix");
+  const StateStore paths(t.dir);
+  for (std::size_t k = 0; k < t.log.size(); ++k) {
+    std::ofstream(paths.log_path(), std::ios::binary | std::ios::trunc)
+        << t.log.substr(0, k);
+    StateStore loaded(t.dir);
+    const bool ok = loaded.load_readonly();
+    if (k >= t.committed) {
+      ASSERT_TRUE(ok) << k << ": " << loaded.error();
+      EXPECT_EQ(loaded.entries.size(), 2u) << k;
+      EXPECT_EQ(loaded.stream_entries.size(), 1u) << k;
+      EXPECT_EQ(loaded.findings.size(), 2u) << k;
+    } else {
+      ASSERT_FALSE(ok) << k;
+      EXPECT_NE(loaded.error().find(paths.log_path()), std::string::npos)
+          << k << ": " << loaded.error();
+    }
+  }
+  fs::remove_all(t.dir);
+}
+
+TEST(StoreTest, CommittedLogPrefixParsesOnlyAtRecordBoundaries) {
+  // Each prefix committed with its own FNV: a prefix that ends on a record
+  // boundary loads exactly the records before it, any other one is torn
+  // and rejected naming the log.
+  const TornLog t = torn_log("log-boundary");
+  const StateStore paths(t.dir);
+  std::size_t records = 0;
+  for (std::size_t k = 0; k <= t.log.size(); ++k) {
+    write_log_and_commit(t.dir, t.log, k);
+    StateStore loaded(t.dir);
+    const bool ok = loaded.load_readonly();
+    const bool boundary = k == 0 || t.log[k - 1] == '\n';
+    records += k > 0 && boundary;
+    if (boundary) {
+      ASSERT_TRUE(ok) << k << ": " << loaded.error();
+      EXPECT_EQ(loaded.entries.size() + loaded.stream_entries.size() +
+                    loaded.findings.size(),
+                records)
+          << k;
+    } else {
+      ASSERT_FALSE(ok) << k;
+      EXPECT_NE(loaded.error().find(paths.log_path()), std::string::npos)
+          << k << ": " << loaded.error();
+    }
+  }
+  EXPECT_EQ(records, 2u + 1u + 2u + 1u + 1u);
+  fs::remove_all(t.dir);
+}
+
+TEST(StoreTest, TornLogTailIsIgnoredReadonlyAndTruncatedByLoad) {
+  const TornLog t = torn_log("log-tail");
+  const StateStore paths(t.dir);
+  // The tail ends mid-record, as a kill inside the append would leave it.
+  const std::string torn = t.log.substr(0, t.log.size() - 7);
+  std::ofstream(paths.log_path(), std::ios::binary | std::ios::trunc) << torn;
+
+  StateStore reader(t.dir);
+  ASSERT_TRUE(reader.load_readonly()) << reader.error();
+  EXPECT_EQ(reader.entries.size(), 2u);
+  EXPECT_EQ(slurp(paths.log_path()), torn);
+
+  StateStore writer(t.dir);
+  ASSERT_TRUE(writer.load()) << writer.error();
+  EXPECT_EQ(writer.entries.size(), 2u);
+  EXPECT_EQ(slurp(paths.log_path()), t.log.substr(0, t.committed));
+
+  // The re-run round appends right after the committed prefix.
+  stage_round(writer, 1, 1);
+  ASSERT_TRUE(writer.commit_round(1)) << writer.error();
+  EXPECT_EQ(slurp(paths.log_path()), t.log);
+  fs::remove_all(t.dir);
+}
+
+TEST(StoreTest, FlippedLogByteFailsTheFnvCheck) {
+  const TornLog t = torn_log("log-flip");
+  const StateStore paths(t.dir);
+  std::string flipped = t.log;
+  flipped[t.committed / 2] ^= 0x01;
+  std::ofstream(paths.log_path(), std::ios::binary | std::ios::trunc)
+      << flipped;
+  StateStore loaded(t.dir);
+  EXPECT_FALSE(loaded.load_readonly());
+  EXPECT_NE(loaded.error().find("FNV"), std::string::npos) << loaded.error();
+  EXPECT_NE(loaded.error().find(paths.log_path()), std::string::npos);
+  fs::remove_all(t.dir);
+}
+
+TEST(StoreTest, LogLengthPastTheFileIsRejected) {
+  const TornLog t = torn_log("log-length");
+  const StateStore paths(t.dir);
+  const std::string fnv = core::hex16(core::fnv1a64(t.log));
+  for (const std::string& length :
+       {std::to_string(t.log.size() + 1), std::string("18446744073709551615")}) {
+    set_log_line(t.dir, length, fnv);
+    StateStore loaded(t.dir);
+    EXPECT_FALSE(loaded.load_readonly()) << length;
+    EXPECT_NE(loaded.error().find(paths.log_path()), std::string::npos)
+        << loaded.error();
+  }
+  fs::remove_all(t.dir);
+}
+
+TEST(StoreTest, LogEntryThatMissesItsContentAddressIsRejected) {
+  const TornLog t = torn_log("log-address");
+  std::string log = t.log.substr(0, t.committed);
+  ASSERT_EQ(log.rfind("entry=", 0), 0u);
+  // A well-formed record, committed with a matching FNV, whose spec does
+  // not hash to its <hash>.
+  log.replace(6, 16, "0123456789abcdef");
+  write_log_and_commit(t.dir, log, log.size());
+  StateStore loaded(t.dir);
+  EXPECT_FALSE(loaded.load_readonly());
+  EXPECT_NE(loaded.error().find("content address"), std::string::npos)
+      << loaded.error();
+  EXPECT_NE(loaded.error().find("campaign.log"), std::string::npos);
+  fs::remove_all(t.dir);
+}
+
+TEST(StoreTest, RepeatedLogEntryIsRejected) {
+  const TornLog t = torn_log("log-repeat");
+  const std::string first = t.log.substr(0, t.log.find('\n') + 1);
+  ASSERT_EQ(first.rfind("entry=", 0), 0u);
+  write_log_and_commit(t.dir, first + first, 2 * first.size());
+  StateStore loaded(t.dir);
+  EXPECT_FALSE(loaded.load_readonly());
+  EXPECT_NE(loaded.error().find("repeated entry"), std::string::npos)
+      << loaded.error();
+  fs::remove_all(t.dir);
 }
 
 }  // namespace

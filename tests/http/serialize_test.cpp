@@ -29,9 +29,9 @@ TEST(RequestSpec, ChunkedPostRoundTripsThroughLexer) {
 TEST(RequestSpec, ByteLevelControl) {
   RequestSpec r;
   r.method = "GET";
-  r.target = "/";
+  r.target = '/';
   r.version = "hTTP/1.1";
-  r.sep2 = "\t";
+  r.sep2 = '\t';
   r.add(HeaderSpec{"Host ", "h1.com", ":", "\n"});
   EXPECT_EQ(r.to_wire(), "GET /\thTTP/1.1\r\nHost :h1.com\n\r\n");
 }

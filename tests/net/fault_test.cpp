@@ -268,7 +268,7 @@ TEST(EchoServer, CountersReadableWhileRecording) {
   for (int w = 0; w < 4; ++w) {
     writers.emplace_back([&echo, w] {
       for (int i = 0; i < 64; ++i) {
-        echo.record("u" + std::to_string(w), "squid", "bytes");
+        echo.record('u' + std::to_string(w), "squid", "bytes");
       }
     });
   }

@@ -523,6 +523,7 @@ TEST(Supervisor, InProcessShardsMatchSingleProcessEngineByteForByte) {
 
   const campaign::StateStore ref_store(ref_dir), serve_store(serve_dir);
   EXPECT_EQ(slurp(ref_store.state_path()), slurp(serve_store.state_path()));
+  EXPECT_EQ(slurp(ref_store.log_path()), slurp(serve_store.log_path()));
   EXPECT_EQ(slurp(ref_store.findings_path()),
             slurp(serve_store.findings_path()));
   fs::remove_all(ref_dir);
@@ -560,6 +561,7 @@ TEST(Supervisor, CrashOnlyWorkerIsQuarantinedAndTheRoundStillCompletes) {
 
   const campaign::StateStore ref_store(ref_dir), serve_store(serve_dir);
   EXPECT_EQ(slurp(ref_store.state_path()), slurp(serve_store.state_path()));
+  EXPECT_EQ(slurp(ref_store.log_path()), slurp(serve_store.log_path()));
   EXPECT_EQ(slurp(ref_store.findings_path()),
             slurp(serve_store.findings_path()));
   fs::remove_all(ref_dir);
@@ -681,6 +683,7 @@ TEST(Supervisor, LeftoverShardResultIsReusedNotReexecuted) {
   ASSERT_TRUE(engine.run(fleet).error.empty());
   const campaign::StateStore ref_store(ref_dir), got_store(dir);
   EXPECT_EQ(slurp(ref_store.state_path()), slurp(got_store.state_path()));
+  EXPECT_EQ(slurp(ref_store.log_path()), slurp(got_store.log_path()));
   EXPECT_EQ(slurp(ref_store.findings_path()), slurp(got_store.findings_path()));
   fs::remove_all(dir);
   fs::remove_all(ref_dir);
@@ -856,30 +859,15 @@ ServeConfig forked_serve(const std::string& dir, std::size_t rounds,
   return config;
 }
 
-/// A state dir's corpus/ as one comparable string: every file name and its
-/// bytes, in name order.
-std::string corpus_image(const std::string& dir) {
-  std::set<std::string> names;
-  std::error_code ec;
-  for (const auto& f : fs::directory_iterator(dir + "/corpus", ec)) {
-    names.insert(f.path().filename().string());
-  }
-  std::string image;
-  for (const std::string& name : names) {
-    image += name + '\0' + slurp(dir + "/corpus/" + name) + '\0';
-  }
-  return image;
-}
-
 void expect_same_state(const std::string& ref_dir, const std::string& dir) {
   const campaign::StateStore ref(ref_dir), got(dir);
   EXPECT_TRUE(slurp(ref.state_path()) == slurp(got.state_path()))
       << "campaign.state differs";
   EXPECT_TRUE(slurp(ref.findings_path()) == slurp(got.findings_path()))
       << "findings.jsonl differs";
-  const std::string corpus = corpus_image(ref_dir);
-  EXPECT_FALSE(corpus.empty());
-  EXPECT_TRUE(corpus == corpus_image(dir)) << "corpus/ differs";
+  const std::string log = slurp(ref.log_path());
+  EXPECT_FALSE(log.empty());
+  EXPECT_TRUE(log == slurp(got.log_path())) << "campaign.log differs";
 }
 
 /// The kinds of the flight events persisted in `dir`; their seqs must
